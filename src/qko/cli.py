@@ -34,7 +34,7 @@ from .groups import (
     theta,
 )
 from .eta import SpaceForm
-from .ktheory import KGroupReport, ko_group, ksp_group
+from .ktheory import KGroupReport, ko_group, ko_order_formula, ksp_group, ksp_order_formula
 from .verify import run_verification
 
 SCHEMA = "qko/1"
@@ -167,11 +167,8 @@ def cmd_chartable(args) -> tuple[dict, str, int]:
 
 
 def _kgroup_checks(report: KGroupReport) -> list[dict]:
-    formula = (4 ** (report.index if report.index % 2 == 0 else report.index + 1)
-               * report.params.ell ** report.index)
-    if report.kind == "ksp":
-        nu = report.index
-        formula = 4 ** (nu if nu % 2 == 0 else nu - 1) * report.params.ell ** (nu - 1)
+    order_formula = ksp_order_formula if report.kind == "ksp" else ko_order_formula
+    formula = order_formula(report.index, report.params)
     return [
         {"name": f"{report.kind}/order-vs-bound", "passed": report.order == report.ahss_bound,
          "expected": str(report.ahss_bound), "actual": str(report.order)},

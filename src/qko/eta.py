@@ -7,13 +7,16 @@ virtual character sigma is the finite sum
 
 reduced mod 2Z.  Twisting by a virtual bundle rho inserts the extra factor
 Tr rho(h); a cartesian Z^(4j) factor multiplies the value by its A-roof genus
-(2 for odd j, 1 otherwise).  Everything is computed in exact cyclotomic
+(2 for odd j, 1 otherwise).  Every factor is a class function, so the sum runs
+over the conjugacy classes that H - {1} meets, each weighted by the number of
+elements of H - {1} it contains.  Everything is computed in exact cyclotomic
 arithmetic and the total must come out rational; a failure to do so signals a
 bug, not a rounding problem.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -99,17 +102,19 @@ class EtaValue:
 
 
 @lru_cache(maxsize=None)
-def _inverse_det_values(params: GroupParams, subgroup: Subgroup,
-                        summands: tuple[int, ...]) -> tuple[tuple[GroupElement, Cyclo], ...]:
-    # det(I - tau(h))^(-1) for the nonidentity h of the chosen subgroup;
+def _inverse_det_values(params: GroupParams, subgroup: Subgroup, summands: tuple[int, ...]
+                        ) -> tuple[tuple[GroupElement, int, Cyclo], ...]:
+    # (representative, weight, det(I - tau)^(-1)) for each class that meets the
+    # nonidentity part of the subgroup, weighted by the size of the meeting;
     # cached because every twist over the same space reuses these.
     group = quaternion_group(params)
     tau = FpfRep(params, summands)
+    weights = Counter(group.class_index(h) for h in group.subgroup_elements(subgroup)
+                      if h != group.identity)
     out = []
-    for h in group.subgroup_elements(subgroup):
-        if h == group.identity:
-            continue
-        out.append((h, det_I_minus(tau, h).inverse()))
+    for idx, weight in sorted(weights.items()):
+        rep = group.classes[idx][0]
+        out.append((rep, weight, det_I_minus(tau, rep).inverse()))
     return tuple(out)
 
 
@@ -129,11 +134,12 @@ def eta_pair(space: SpaceForm, sigma: VirtualCharacter,
     group = quaternion_group(space.params)
     order = len(group.subgroup_elements(space.subgroup))
     total = Cyclo.zero(space.params.conductor)
-    for h, det_inv in _inverse_det_values(space.params, space.subgroup, space.tau.summands):
-        term = sigma.value(h) * det_inv
+    for rep, weight, det_inv in _inverse_det_values(space.params, space.subgroup,
+                                                    space.tau.summands):
+        term = sigma.value(rep) * det_inv
         if bundle is not None:
-            term = term * bundle.value(h)
-        total = total + term
+            term = term * bundle.value(rep)
+        total = total + weight * term
     exact = total.to_rational() / order * space.a_roof_factor
     return EtaValue.from_exact(exact)
 

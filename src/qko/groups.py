@@ -5,6 +5,12 @@ of unity xi and the quaternion unit J, subject to J^2 = xi^(ell/4) and
 J xi J^(-1) = xi^(-1).  Elements are written xi^a J^b with a mod ell/2 and
 b in {0, 1}.  Character values live in the cyclotomic field of conductor
 ell/2, handled exactly by :mod:`qko.cyclotomic`.
+
+The ell/4 + 3 conjugacy classes are known in closed form -- {1}, {-1},
+{xi^(+-a)} for 0 < a < ell/4, {xi^even J} and {xi^odd J} -- so every sum of a
+class function over the group (inner products, Frobenius-Schur indicators,
+the fixed point free test, eta invariants) runs over the classes, weighted
+by their sizes, rather than over the ell elements.
 """
 
 from __future__ import annotations
@@ -82,9 +88,12 @@ class QuaternionGroup:
         self.identity = GroupElement(0, 0)
         self.elements = tuple(GroupElement(a, b)
                               for b in (0, 1) for a in range(params.half))
-        self._classes = self._conjugacy_classes()
-        self._class_index = {g: idx for idx, (rep, _) in enumerate(self._classes)
-                             for g in self._class_members(rep)}
+        q = params.quarter
+        # J xi^a J^(-1) = xi^(-a) and xi^c (xi^a J) xi^(-c) = xi^(a+2c) J;
+        # each representative is the minimum of its class
+        self.classes = ((GroupElement(0, 0), 1), (GroupElement(q, 0), 1),
+                        *((GroupElement(a, 0), 2) for a in range(1, q)),
+                        (GroupElement(0, 1), q), (GroupElement(1, 1), q))
 
     def element(self, a: int, b: int) -> GroupElement:
         return GroupElement(a % self.params.half, b % 2)
@@ -110,45 +119,17 @@ class QuaternionGroup:
             n += 1
         return n
 
-    def conjugate_of(self, x: GroupElement, by: GroupElement) -> GroupElement:
-        return self.mul(self.mul(by, x), self.inverse(by))
-
-    def _orbit(self, x: GroupElement) -> frozenset[GroupElement]:
-        return frozenset(self.conjugate_of(x, g) for g in self.elements)
-
-    def _conjugacy_classes(self) -> tuple[tuple[GroupElement, int], ...]:
-        seen: set[GroupElement] = set()
-        orbits = []
-        for x in self.elements:
-            if x in seen:
-                continue
-            orbit = self._orbit(x)
-            seen.update(orbit)
-            orbits.append(orbit)
-        quarter = self.params.quarter
-
-        def key(orbit: frozenset[GroupElement]) -> tuple[int, int]:
-            rep = min(orbit)
-            if rep.b:
-                return (3, rep.a)      # J class, then xi*J class
-            if rep.a == 0:
-                return (0, 0)          # identity
-            if rep.a == quarter:
-                return (1, 0)          # -1
-            return (2, rep.a)
-
-        orbits.sort(key=key)
-        return tuple((min(orbit), len(orbit)) for orbit in orbits)
-
-    def _class_members(self, rep: GroupElement) -> frozenset[GroupElement]:
-        return self._orbit(rep)
-
-    @property
-    def classes(self) -> tuple[tuple[GroupElement, int], ...]:
-        return self._classes
-
     def class_index(self, g: GroupElement) -> int:
-        return self._class_index[self.element(g.a, g.b)]
+        """Position of the class of g in :attr:`classes`."""
+        half, quarter = self.params.half, self.params.quarter
+        a = g.a % half
+        if g.b % 2:
+            return quarter + 1 + a % 2
+        if a == 0:
+            return 0
+        if a == quarter:
+            return 1
+        return min(a, half - a) + 1
 
     def subgroup_elements(self, which: Subgroup) -> tuple[GroupElement, ...]:
         if which is Subgroup.FULL:
@@ -469,8 +450,8 @@ def fs_indicator(params: GroupParams, label: str) -> int:
     """Frobenius-Schur indicator: +1 real type, -1 quaternion type, 0 complex type."""
     group = quaternion_group(params)
     total = Cyclo.zero(params.conductor)
-    for g in group.elements:
-        total = total + char_value(params, label, group.square(g))
+    for rep, size in group.classes:
+        total = total + size * char_value(params, label, group.square(rep))
     value = total.to_rational() / params.ell
     if value.denominator != 1 or value not in (-1, 0, 1):
         raise ArithmeticError(f"indicator of {label} came out as {value}")
@@ -554,13 +535,10 @@ def is_fixed_point_free(params: GroupParams, summands: Iterable[int]) -> bool:
     summands = tuple(int(s) for s in summands)
     if not summands:
         return False
-    group = quaternion_group(params)
-    for g in group.elements:
-        if g == group.identity:
-            continue
+    for rep, _ in conjugacy_classes(params)[1:]:
         value = Cyclo.one(params.conductor)
         for s in summands:
-            value = value * det_one_minus_gamma(params, s, g)
+            value = value * det_one_minus_gamma(params, s, rep)
         if value.is_zero():
             return False
     return True

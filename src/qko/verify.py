@@ -21,7 +21,7 @@ from .abelian import (
     quotient_group,
     smith_normal_form,
 )
-from .cyclotomic import Cyclo, Mod2Z
+from .cyclotomic import Cyclo, Mod2Z, NotRationalError
 from .eta import eta_lens_difference, eta_pair, eta_theta_closed_form, quaternion_space
 from .groups import (
     GroupParams,
@@ -233,7 +233,7 @@ def _eta_checks(params: GroupParams, max_nu: int) -> list[Check]:
         for bundle in sigmas:
             try:
                 eta_pair(quaternion_space(params, 3), sigma, bundle)
-            except Exception as exc:  # NotRationalError flags an internal bug
+            except NotRationalError as exc:
                 bad.append(f"{sigma} x {bundle}: {exc}")
     out.append(_check_all(f"eta/rationality/ell{ell}", bad, len(sigmas) ** 2))
     return out

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qko.cyclotomic import Mod2Z
+from qko.cyclotomic import Cyclo, Mod2Z
 from qko.eta import (
     EtaValue,
     NotReducedError,
@@ -16,11 +16,15 @@ from qko.eta import (
     quaternion_space,
 )
 from qko.groups import (
+    FpfRep,
     GroupParams,
     Subgroup,
     VirtualCharacter,
     c_constant,
+    char_value,
     delta_power,
+    det_I_minus,
+    quaternion_group,
     standard_fpf,
     theta,
 )
@@ -60,6 +64,40 @@ def test_delta_pairings_are_c_constants():
                     assert got.exact == c_constant(r + s - nu, params), \
                         (params.ell, nu, r, s)
                     assert got.residue == Mod2Z(c_constant(r + s - nu, params))
+
+
+def _element_value(chi, h):
+    # the character value from its irreducible multiplicities, element by element
+    total = Cyclo.zero(chi.params.conductor)
+    for label, m in chi.mults.items():
+        total = total + m * char_value(chi.params, label, h)
+    return total
+
+
+@pytest.mark.parametrize("params", (P8, P16, P32), ids=lambda p: f"ell{p.ell}")
+@pytest.mark.parametrize("subgroup", tuple(Subgroup), ids=lambda s: s.value)
+def test_class_weighted_sum_matches_element_sum(params, subgroup):
+    # the defining sum over the nonidentity elements of the subgroup, against
+    # eta_pair's sum over classes; a wrong class weight changes some entry
+    group = quaternion_group(params)
+    nonidentity = [h for h in group.subgroup_elements(subgroup) if h != group.identity]
+    order = len(nonidentity) + 1
+    chars = [theta(1, params), theta(2, params)] + [delta_power(r, params) for r in (1, 2, 3)]
+    values = {chi: [_element_value(chi, h) for h in nonidentity] for chi in chars}
+    values[None] = [Cyclo.one(params.conductor)] * len(nonidentity)
+    for summands in ((1, 1), (1, 3), (3, 5, 1)):
+        tau = FpfRep(params, summands)
+        det_inv = [det_I_minus(tau, h).inverse() for h in nonidentity]
+        plain, crossed = SpaceForm(params, subgroup, tau), SpaceForm(params, subgroup, tau, 1)
+        for sigma in chars:
+            for bundle in [None] + chars:
+                total = Cyclo.zero(params.conductor)
+                for s, r, d in zip(values[sigma], values[bundle], det_inv):
+                    total = total + s * r * d
+                want = total.to_rational() / order
+                assert eta_pair(plain, sigma, bundle).exact == want, (summands, sigma, bundle)
+                # a Z^4 factor multiplies by its A-roof genus, 2
+                assert eta_pair(crossed, sigma, bundle).exact == 2 * want
 
 
 def test_delta_pairing_untwisted_equals_trivial_bundle():

@@ -1,9 +1,9 @@
 """Byte-for-byte comparison of ``--format json`` reports with frozen outputs.
 
 Each file under ``tests/golden`` is the stdout of ``qko <argv> --format json``
-as produced before the conjugacy classes were written in closed form.  The
-files are reference data: a mismatch means the program changed its output,
-and the fix belongs in the program, not in the file.
+as of the commit that added it.  The files are reference data: a mismatch
+means the program changed its output, and the fix belongs in the program,
+not in the file.
 """
 
 from pathlib import Path

@@ -100,15 +100,19 @@ def test_class_of_J_by_brute_conjugation():
 
 
 def test_brute_force_partition_matches_classes():
-    for params in (P8, P16, P32):
+    for params in ALL:
         group = quaternion_group(params)
-        orbits = set()
+        orbits = {frozenset(group.mul(group.mul(g, x), group.inverse(g))
+                            for g in group.elements)
+                  for x in group.elements}
+        induced = {}
         for x in group.elements:
-            orbits.add(frozenset(group.mul(group.mul(g, x), group.inverse(g))
-                                 for g in group.elements))
-        reported = {frozenset(group._class_members(rep)) for rep, _ in group.classes}
-        assert orbits == reported
-        assert sorted(len(o) for o in orbits) == sorted(s for _, s in group.classes)
+            induced.setdefault(group.class_index(x), set()).add(x)
+        assert orbits == {frozenset(members) for members in induced.values()}
+        assert sorted(induced) == list(range(len(group.classes)))
+        for idx, (rep, size) in enumerate(group.classes):
+            assert rep == min(induced[idx])
+            assert size == len(induced[idx])
 
 
 def test_subgroup_elements():
