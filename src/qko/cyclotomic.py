@@ -5,6 +5,10 @@ coordinates in the power basis {1, zeta, ..., zeta^(m/2 - 1)}.  Because the
 minimal polynomial of zeta over Q is x^(m/2) + 1, that representation is
 unique and equality is coefficient-wise.  All coefficients are
 :class:`fractions.Fraction`; nothing in this module rounds.
+
+Each value lives in one field: adding, multiplying or comparing values of
+different conductors raises ``ValueError``.  Inversion needs no linear
+algebra: it takes field norms down the 2-power tower to a rational reciprocal.
 """
 
 from __future__ import annotations
@@ -28,11 +32,43 @@ def _check_conductor(m: int) -> None:
         raise ValueError(f"conductor must be a power of two >= 2, got {m}")
 
 
+def _product(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """a * b modulo x^n + 1, n = len(a) = len(b): a negacyclic convolution."""
+    n = len(a)
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if not y:
+                continue
+            k = i + j
+            if k < n:
+                out[k] += x * y
+            else:
+                out[k - n] -= x * y
+    return out
+
+
+def _inverse(a: Sequence[Fraction]) -> list[Fraction]:
+    """1 / a modulo x^n + 1 for nonzero a, n = len(a) a power of two.
+
+    a(x) * a(-x) has only even powers, so it is N(x^2) with N in
+    Q[y]/(y^(n/2) + 1); then 1/a = a(-x) * N^(-1)(x^2).
+    """
+    n = len(a)
+    if n == 1:
+        return [1 / a[0]]
+    flipped = [-c if i & 1 else c for i, c in enumerate(a)]
+    spread = [Fraction(0)] * n
+    spread[::2] = _inverse(_product(a, flipped)[::2])
+    return _product(flipped, spread)
+
+
 class Cyclo:
     """An element of the cyclotomic field of 2-power conductor.
 
     ``Cyclo(8, [2, -1, 0, -1])`` is 2 - zeta - zeta^3 with zeta = zeta_8.
-    Mixed-conductor arithmetic embeds the smaller field into the larger one.
     """
 
     __slots__ = ("conductor", "coeffs")
@@ -43,7 +79,8 @@ class Cyclo:
         if len(coeffs) != n:
             raise ValueError(f"conductor {conductor} needs {n} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs",
+                           tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Cyclo values are immutable")
@@ -51,15 +88,15 @@ class Cyclo:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, conductor: int = 2) -> Cyclo:
+    def zero(cls, conductor: int) -> Cyclo:
         return cls(conductor, [0] * (conductor // 2))
 
     @classmethod
-    def one(cls, conductor: int = 2) -> Cyclo:
+    def one(cls, conductor: int) -> Cyclo:
         return cls.rational(1, conductor)
 
     @classmethod
-    def rational(cls, value: Scalar, conductor: int = 2) -> Cyclo:
+    def rational(cls, value: Scalar, conductor: int) -> Cyclo:
         coeffs = [Fraction(value)] + [Fraction(0)] * (conductor // 2 - 1)
         return cls(conductor, coeffs)
 
@@ -76,48 +113,22 @@ class Cyclo:
             coeffs[e - n] = Fraction(-1)
         return cls(conductor, coeffs)
 
-    # -- conductor handling ------------------------------------------------
-
-    def lift(self, conductor: int) -> Cyclo:
-        """Embed into the field of the given (larger 2-power) conductor."""
-        _check_conductor(conductor)
-        if conductor == self.conductor:
-            return self
-        if conductor < self.conductor or conductor % self.conductor:
-            raise ValueError(f"cannot embed conductor {self.conductor} into {conductor}")
-        step = conductor // self.conductor
-        coeffs = [Fraction(0)] * (conductor // 2)
-        for i, c in enumerate(self.coeffs):
-            coeffs[i * step] = c
-        return Cyclo(conductor, coeffs)
-
-    def reduced(self) -> Cyclo:
-        """The same value at the smallest possible 2-power conductor."""
-        m, coeffs = self.conductor, list(self.coeffs)
-        while m > 2 and not any(coeffs[1::2]):
-            m //= 2
-            coeffs = coeffs[::2]
-        return Cyclo(m, coeffs)
-
-    def _pair(self, other: Cyclo) -> tuple[Cyclo, Cyclo]:
-        m = max(self.conductor, other.conductor)
-        return self.lift(m), other.lift(m)
+    # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other: object) -> "Cyclo | None":
         if isinstance(other, Cyclo):
+            if other.conductor != self.conductor:
+                raise ValueError(f"conductors differ: {self.conductor} and {other.conductor}")
             return other
         if isinstance(other, (int, Fraction)):
             return Cyclo.rational(other, self.conductor)
         return None
 
-    # -- ring operations ---------------------------------------------------
-
     def __add__(self, other: object) -> Cyclo:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self._pair(rhs)
-        return Cyclo(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return Cyclo(self.conductor, [x + y for x, y in zip(self.coeffs, rhs.coeffs)])
 
     __radd__ = __add__
 
@@ -137,24 +148,12 @@ class Cyclo:
         return rhs + (-self)
 
     def __mul__(self, other: object) -> Cyclo:
+        if isinstance(other, (int, Fraction)):
+            return Cyclo(self.conductor, [c * other for c in self.coeffs])
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self._pair(rhs)
-        n = a.conductor // 2
-        out = [Fraction(0)] * n
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if not y:
-                    continue
-                k = i + j
-                if k < n:
-                    out[k] += x * y
-                else:
-                    out[k - n] -= x * y
-        return Cyclo(a.conductor, out)
+        return Cyclo(self.conductor, _product(self.coeffs, rhs.coeffs))
 
     __rmul__ = __mul__
 
@@ -172,34 +171,10 @@ class Cyclo:
         return result
 
     def inverse(self) -> Cyclo:
-        """Multiplicative inverse, by solving a linear system over Q."""
+        """Multiplicative inverse, by the field-norm recursion of :func:`_inverse`."""
         if self.is_zero():
             raise ZeroInverseError("zero has no inverse")
-        n = self.conductor // 2
-        # column j of the system is self * zeta^j in the power basis
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            for i, c in enumerate(self.coeffs):
-                k = i + j
-                if k < n:
-                    mat[k][j] += c
-                else:
-                    mat[k - n][j] -= c
-        rhs = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        for col in range(n):
-            pivot = next(r for r in range(col, n) if mat[r][col])
-            if pivot != col:
-                mat[col], mat[pivot] = mat[pivot], mat[col]
-                rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-            inv = 1 / mat[col][col]
-            mat[col] = [x * inv for x in mat[col]]
-            rhs[col] *= inv
-            for r in range(n):
-                if r != col and mat[r][col]:
-                    factor = mat[r][col]
-                    mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
-                    rhs[r] -= factor * rhs[col]
-        return Cyclo(self.conductor, rhs)
+        return Cyclo(self.conductor, _inverse(self.coeffs))
 
     def conjugate(self) -> Cyclo:
         """Complex conjugation, the field automorphism zeta -> zeta^(-1)."""
@@ -227,12 +202,10 @@ class Cyclo:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self._pair(rhs)
-        return a.coeffs == b.coeffs
+        return self.coeffs == rhs.coeffs
 
     def __hash__(self) -> int:
-        small = self.reduced()
-        return hash((small.conductor, small.coeffs))
+        return hash((self.conductor, self.coeffs))
 
     def __bool__(self) -> bool:
         return not self.is_zero()

@@ -458,8 +458,6 @@ def _arith_checks() -> list[Check]:
         m = rng.choice([4, 8, 16])
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(m // 2)]
         a = Cyclo(m, coeffs)
-        if a.lift(2 * m).reduced() != a.reduced():
-            bad.append(f"trial {trial}: lift/reduce roundtrip")
         if not a.is_zero() and a * a.inverse() != Cyclo.one(m):
             bad.append(f"trial {trial}: inverse")
     out.append(_check_all("cyclo/roundtrips", bad, 50))

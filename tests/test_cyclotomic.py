@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from sympy import QQ, Poly, Rational, invert, symbols
 
 from qko.cyclotomic import Cyclo, Mod2Z, NotRationalError, ZeroInverseError
+from qko.groups import FpfRep, GroupParams, conjugacy_classes, det_I_minus
 
 
 def poly_mult_mod(a, b, n):
@@ -81,6 +84,63 @@ def test_inverse_multiplies_back_to_one():
         if value.is_zero():
             continue
         assert value * value.inverse() == Cyclo.one(m)
+    for m in (2, 4, 8, 16, 32, 64, 128, 256):
+        z = Cyclo.root_of_unity(m)
+        values = [
+            z,                                   # even half zero (odd half at m = 2)
+            z + 3 * z ** 3,                      # even half zero
+            1 + z ** 2,                          # odd half zero; zero at m = 4
+            Cyclo.rational(Fraction(-3, 7), m),  # odd half zero
+            2 - z - z.conjugate(),               # the shape of det(I - gamma(xi))
+            Cyclo(m, [rng.randint(-2, 2) for _ in range(m // 2)]),
+        ]
+        for value in values:
+            if value.is_zero():
+                continue
+            assert value * value.inverse() == Cyclo.one(m), (m, value)
+            assert value.inverse() * value == Cyclo.one(m), (m, value)
+
+
+TAUS = [(1,), (1, 1), (1, 3), (3, 5, 1)]
+
+
+@pytest.mark.parametrize("ell", [8, 16, 32, 64])
+def test_inverse_det_against_sympy(ell):
+    # sympy's extended Euclid modulo x^n + 1 shares no code with Cyclo.inverse
+    params = GroupParams(ell)
+    n = params.conductor // 2
+    x = symbols("x")
+    modulus = x ** n + 1
+    cases = 0
+    for summands in TAUS:
+        tau = FpfRep(params, summands)
+        for rep, _ in conjugacy_classes(params)[1:]:
+            det = det_I_minus(tau, rep)
+            poly = sum(Rational(c.numerator, c.denominator) * x ** i
+                       for i, c in enumerate(det.coeffs))
+            want = Poly(invert(poly, modulus, x, domain=QQ), x, domain=QQ).all_coeffs()[::-1]
+            want = [Fraction(str(c)) for c in want] + [Fraction(0)] * (n - len(want))
+            assert list(det.inverse().coeffs) == want, (ell, summands, rep)
+            cases += 1
+    assert cases == len(TAUS) * (ell // 4 + 2)
+
+
+@st.composite
+def cyclo_pairs(draw):
+    m = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    x = Cyclo(m, draw(st.lists(coeff, min_size=m // 2, max_size=m // 2)))
+    y = Cyclo(m, draw(st.lists(coeff, min_size=m // 2, max_size=m // 2)))
+    return x, y
+
+
+@settings(derandomize=True, deadline=None)
+@given(cyclo_pairs())
+def test_inverse_properties(pair):
+    x, y = pair
+    assume(not x.is_zero() and not y.is_zero())
+    assert x * x.inverse() == Cyclo.one(x.conductor)
+    assert (x * y).inverse() == x.inverse() * y.inverse()
 
 
 def test_zero_inverse_raises():
@@ -94,26 +154,14 @@ def test_to_rational():
         Cyclo.root_of_unity(8).to_rational()
 
 
-def test_conductor_embedding_roundtrip():
-    rng = random.Random(13)
-    for _ in range(30):
-        m = rng.choice([4, 8, 16])
-        a = Cyclo(m, [Fraction(rng.randint(-3, 3)) for _ in range(m // 2)])
-        lifted = a.lift(2 * m)
-        assert lifted.conductor == 2 * m
-        assert lifted == a
-        assert lifted.reduced() == a.reduced()
-    # zeta_8 lifted to conductor 16 is zeta_16^2
-    assert Cyclo.root_of_unity(8).lift(16) == Cyclo.root_of_unity(16, 2)
-
-
-def test_mixed_conductor_arithmetic():
+def test_mixed_conductors_raise():
     a = Cyclo.root_of_unity(4)        # i
-    b = Cyclo.root_of_unity(8, 2)     # also i
-    assert a == b
-    assert hash(a) == hash(b)
-    assert (a + b) == 2 * b
-    assert (a * b) == -1
+    b = Cyclo.root_of_unity(8, 2)     # also i, but in the field of conductor 8
+    for op in (lambda u, v: u + v, lambda u, v: u * v, lambda u, v: u == v):
+        with pytest.raises(ValueError):
+            op(a, b)
+        with pytest.raises(ValueError):
+            op(b, a)
 
 
 def test_conjugation():
