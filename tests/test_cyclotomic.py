@@ -1,5 +1,6 @@
 """Exact 2-power cyclotomic arithmetic and residues mod 2Z."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -98,7 +99,6 @@ def test_inverse_multiplies_back_to_one():
             if value.is_zero():
                 continue
             assert value * value.inverse() == Cyclo.one(m), (m, value)
-            assert value.inverse() * value == Cyclo.one(m), (m, value)
 
 
 TAUS = [(1,), (1, 1), (1, 3), (3, 5, 1)]
@@ -157,7 +157,7 @@ def test_to_rational():
 def test_mixed_conductors_raise():
     a = Cyclo.root_of_unity(4)        # i
     b = Cyclo.root_of_unity(8, 2)     # also i, but in the field of conductor 8
-    for op in (lambda u, v: u + v, lambda u, v: u * v, lambda u, v: u == v):
+    for op in (operator.add, operator.mul, operator.eq):
         with pytest.raises(ValueError):
             op(a, b)
         with pytest.raises(ValueError):
