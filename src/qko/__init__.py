@@ -1,68 +1,20 @@
 """Exact computation of quaternion-group eta invariants and the symplectic /
 real connective K-theory groups they determine."""
 
-from .abelian import (
-    AbelianGroup,
-    DimensionMismatchError,
-    quotient_group,
-    smith_normal_form,
-)
+from .abelian import AbelianGroup, DimensionMismatchError, quotient_group
 from .cyclotomic import Cyclo, Mod2Z, NotRationalError, ZeroInverseError
-from .eta import (
-    EtaValue,
-    NotReducedError,
-    SpaceForm,
-    eta_lens_difference,
-    eta_pair,
-    eta_theta_closed_form,
-    lens_space,
-    quaternion_space,
-)
+from .eta import NotReducedError, SpaceForm, eta_pair, lens_space, quaternion_space
 from .groups import (
-    FpfRep,
-    GroupElement,
     GroupParams,
     InvalidParamsError,
     NotVirtualError,
-    QuaternionGroup,
     Subgroup,
     VirtualCharacter,
-    c_constant,
-    char_dim,
-    char_value,
-    conjugacy_classes,
-    decompose,
-    delta,
     delta_power,
-    det_I_minus,
-    fs_indicator,
-    inner_product,
     irreducible_labels,
-    is_fixed_point_free,
-    membership,
-    quaternion_group,
-    standard_fpf,
     theta,
 )
-from .ktheory import (
-    EtaMatrix,
-    KGroupReport,
-    StructureMismatchError,
-    ahss_order_bound,
-    ko_eta_matrix,
-    ko_group,
-    ko_ksp_isomorphism_check,
-    ko_order_formula,
-    ksp_eta_matrix,
-    ksp_generators,
-    ksp_group,
-    ksp_order_formula,
-    matrix_A,
-    matrix_B,
-    matrix_B_manifold,
-    matrix_C,
-    twist_schedule,
-)
+from .ktheory import KGroupReport, StructureMismatchError, ko_group, ksp_group
 
 __version__ = "0.1.0"
 
@@ -70,10 +22,6 @@ __all__ = [
     "AbelianGroup",
     "Cyclo",
     "DimensionMismatchError",
-    "EtaMatrix",
-    "EtaValue",
-    "FpfRep",
-    "GroupElement",
     "GroupParams",
     "InvalidParamsError",
     "KGroupReport",
@@ -81,47 +29,18 @@ __all__ = [
     "NotRationalError",
     "NotReducedError",
     "NotVirtualError",
-    "QuaternionGroup",
     "SpaceForm",
     "StructureMismatchError",
     "Subgroup",
     "VirtualCharacter",
     "ZeroInverseError",
-    "ahss_order_bound",
-    "c_constant",
-    "char_dim",
-    "char_value",
-    "conjugacy_classes",
-    "decompose",
-    "delta",
     "delta_power",
-    "det_I_minus",
-    "eta_lens_difference",
     "eta_pair",
-    "eta_theta_closed_form",
-    "fs_indicator",
-    "inner_product",
     "irreducible_labels",
-    "is_fixed_point_free",
-    "ko_eta_matrix",
     "ko_group",
-    "ko_ksp_isomorphism_check",
-    "ko_order_formula",
-    "ksp_eta_matrix",
-    "ksp_generators",
     "ksp_group",
-    "ksp_order_formula",
     "lens_space",
-    "matrix_A",
-    "matrix_B",
-    "matrix_B_manifold",
-    "matrix_C",
-    "membership",
-    "quaternion_group",
     "quaternion_space",
     "quotient_group",
-    "smith_normal_form",
-    "standard_fpf",
     "theta",
-    "twist_schedule",
 ]

@@ -379,23 +379,31 @@ def decompose(params: GroupParams, values: Sequence[Cyclo | Fraction | int]) -> 
     """Expand a class function, given by its values on the class representatives
     in the :func:`conjugacy_classes` order, over the irreducible characters.
 
-    Raises :class:`NotVirtualError` if any multiplicity is non-integral.
+    Only the constant coefficient of each sum of v * conj(chi) is formed: in
+    the power basis it is the dot product of the coefficient vectors of v and
+    chi, and a character value has at most two nonzero coefficients.  Raises
+    :class:`NotVirtualError` if a multiplicity is non-integral or the
+    expansion does not give back the values.
     """
     classes = conjugacy_classes(params)
     if len(values) != len(classes):
         raise ValueError(f"expected {len(classes)} class values, got {len(values)}")
-    vals = [v if isinstance(v, Cyclo) else Cyclo.rational(v, params.conductor)
-            for v in values]
+    vals = tuple(v if isinstance(v, Cyclo) else Cyclo.rational(v, params.conductor)
+                 for v in values)
     mults = {}
     for label in irreducible_labels(params):
-        total = Cyclo.zero(params.conductor)
+        total = Fraction(0)
         for (rep, size), v in zip(classes, vals):
-            total = total + size * (v * char_value(params, label, rep).conjugate())
-        m = total.to_rational() / params.ell
+            chi = char_value(params, label, rep).coeffs
+            total += size * sum(v.coeffs[i] * c for i, c in enumerate(chi) if c)
+        m = total / params.ell
         if m.denominator != 1:
             raise NotVirtualError(f"multiplicity of {label} is {m}, not an integer")
         mults[label] = int(m)
-    return VirtualCharacter(params, mults)
+    result = VirtualCharacter(params, mults)
+    if result.class_values() != vals:
+        raise NotVirtualError(f"{result} does not take the given class values")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +455,15 @@ def c_constant(i: int, params: GroupParams) -> Fraction:
 
 
 def fs_indicator(params: GroupParams, label: str) -> int:
-    """Frobenius-Schur indicator: +1 real type, -1 quaternion type, 0 complex type."""
-    group = quaternion_group(params)
-    total = Cyclo.zero(params.conductor)
-    for rep, size in group.classes:
-        total = total + size * char_value(params, label, group.square(rep))
-    value = total.to_rational() / params.ell
-    if value.denominator != 1 or value not in (-1, 0, 1):
-        raise ArithmeticError(f"indicator of {label} came out as {value}")
-    return int(value)
+    """Frobenius-Schur indicator: +1 real type, -1 quaternion type, 0 complex type.
+
+    In closed form: every irreducible is self-dual; the 1-dimensional ones and
+    the even gamma_u are real, the odd gamma_u quaternionic.
+    """
+    if label not in irreducible_labels(params):
+        raise ValueError(f"unknown irreducible label {label!r} for ell={params.ell}")
+    u = _gamma_index(label)
+    return -1 if u is not None and u % 2 else 1
 
 
 _RINGS = ("RU", "RU0", "RO", "RO0", "RSp", "RSp0")

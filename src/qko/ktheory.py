@@ -8,7 +8,10 @@ in (Q/2Z)^(nu+1): a 2x2 block A from the theta classes and an
 K-groups of the classifying space are hit the same way by manifold
 generators (lens-space differences and products with the auxiliary
 A-roof-genus manifolds), giving blocks C and B with a dimension shift of one.
-The group structures are read off with exact Smith-form quotients.
+The group structures are read off with exact Smith-form quotients.  Every
+closed form the blocks must meet is stated once, in :func:`structure_checks`:
+the group constructors raise on the first row that fails, and ``verify``
+reports the rows.
 
 Coefficient schedules: a generator delta^i carries 2 when i is even and 1
 when i is odd (making it quaternionic); a twist delta^j carries the
@@ -25,8 +28,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .abelian import AbelianGroup, quotient_group
+from .checks import Check, _check, _check_all
 from .cyclotomic import Mod2Z
-from .eta import EtaValue, eta_lens_difference, eta_pair, quaternion_space
+from .eta import eta_lens_difference, eta_pair, quaternion_space
 from .groups import (
     GroupParams,
     Subgroup,
@@ -145,75 +149,6 @@ def ko_eta_matrix(k: int, params: GroupParams) -> EtaMatrix:
     return EtaMatrix(tuple(row_labels), tuple(lbl for lbl, _ in twists), tuple(rows))
 
 
-def _closed_form_a(nu: int, params: GroupParams) -> list[list[Fraction]]:
-    scale = Fraction(2) ** ((1 if nu % 2 == 0 else 2) - nu)
-    side = params.ell // 8
-    return [[scale * (side + 1), scale * side], [scale * side, scale * (side + 1)]]
-
-
-def matrix_A(nu: int, params: GroupParams) -> EtaMatrix:
-    """The 2x2 theta block, checked entry-by-entry against its closed form."""
-    block = ksp_eta_matrix(nu, params).submatrix(range(2), range(2))
-    expected = _closed_form_a(nu, params)
-    for i in range(2):
-        for j in range(2):
-            if block.entries[i][j] != Mod2Z(expected[i][j]):
-                raise StructureMismatchError(
-                    f"theta block ({i},{j}) is {block.entries[i][j]}, "
-                    f"expected {Mod2Z(expected[i][j])}")
-    return block
-
-
-def matrix_B(nu: int, params: GroupParams) -> EtaMatrix:
-    """The (nu-1)x(nu-1) delta block, checked against the coefficient-scheduled
-    c-constant pattern entry(i,j) = eps_i * delta_j * c_{i+j-nu}."""
-    full = ksp_eta_matrix(nu, params)
-    block = full.submatrix(range(2, nu + 1), range(2, nu + 1))
-    for i in range(1, nu):
-        for j in range(1, nu):
-            expected = Mod2Z(_delta_generator_coeff(i) * _delta_twist_coeff(nu, j)
-                             * c_constant(i + j - nu, params))
-            if block.entries[i - 1][j - 1] != expected:
-                raise StructureMismatchError(
-                    f"delta block ({i},{j}) is {block.entries[i - 1][j - 1]}, "
-                    f"expected {expected}")
-    return block
-
-
-def _closed_form_c(k: int, params: GroupParams) -> list[list[Fraction]]:
-    # the printed normal form: scaled [[2,1],[1,2]] for ell = 8, scaled identity above
-    scale = _theta_twist_coeff(k + 1) * Fraction(1, 2 ** k)
-    if params.ell == 8:
-        return [[scale * 2, scale], [scale, scale * 2]]
-    return [[scale, Fraction(0)], [Fraction(0), scale]]
-
-
-def matrix_C(k: int, params: GroupParams) -> EtaMatrix:
-    """The 2x2 lens-difference block.  For ell = 8 the printed normal form is
-    matched entry-by-entry; for larger ell the directly computed matrix is a
-    row-equivalent of the printed one, so only the spans are compared."""
-    block = ko_eta_matrix(k, params).submatrix(range(2), range(2))
-    expected = _closed_form_c(k, params)
-    if params.ell == 8:
-        for i in range(2):
-            for j in range(2):
-                if block.entries[i][j] != Mod2Z(expected[i][j]):
-                    raise StructureMismatchError(
-                        f"lens block ({i},{j}) is {block.entries[i][j]}, "
-                        f"expected {Mod2Z(expected[i][j])}")
-    else:
-        if block.span() != quotient_group(expected):
-            raise StructureMismatchError(
-                f"lens block spans {block.span()}, printed form spans "
-                f"{quotient_group(expected)}")
-    return block
-
-
-def matrix_B_manifold(k: int, params: GroupParams) -> EtaMatrix:
-    """The ko-side delta block, built from the manifold generators."""
-    return ko_eta_matrix(k, params).submatrix(range(2, k + 2), range(2, k + 2))
-
-
 def ahss_order_bound(nu: int, params: GroupParams) -> int:
     """Order bound from the spectral-sequence page for the 4*nu-1 quotient.
 
@@ -232,6 +167,49 @@ def ahss_order_bound(nu: int, params: GroupParams) -> int:
         elif u % 8 in (5, 6):
             bound *= 4
     return bound
+
+
+def theta_block_exponent(nu: int) -> int:
+    """The exponent e of the theta block Z_(2^e)^2 of KSp at nu: nu for even
+    nu, nu - 1 for odd nu.  The ko group in degree 4k-1 has it at nu = k + 1."""
+    return nu if nu % 2 == 0 else nu - 1
+
+
+def ksp_order_formula(nu: int, params: GroupParams) -> int:
+    """Closed form for |KSp|: 4^e ell^(nu-1), e the theta block exponent."""
+    return 4 ** theta_block_exponent(nu) * params.ell ** (nu - 1)
+
+
+def ko_order_formula(k: int, params: GroupParams) -> int:
+    """Closed form for |ko| in degree 4k-1: the order of KSp at nu = k + 1."""
+    return ksp_order_formula(k + 1, params)
+
+
+def _theta_pattern(nu: int, params: GroupParams) -> list[list[Fraction]]:
+    """The theta block at nu, and the lens block at nu = k + 1: the theta twist
+    coefficient times 2^(1-nu) times [[s+1, s], [s, s+1]], s = ell/8."""
+    scale = Fraction(_theta_twist_coeff(nu), 2 ** (nu - 1))
+    side = params.eighth
+    return [[scale * (side + 1), scale * side], [scale * side, scale * (side + 1)]]
+
+
+def _printed_b_entry(nu: int, i: int, j: int, params: GroupParams) -> Mod2Z:
+    """Entry (i, j) of the printed delta block: eps_i * delta_j * c_(i+j-nu)
+    on and below the antidiagonal, 0 above it (an even integer there)."""
+    if i + j > nu:
+        return Mod2Z(0)
+    return Mod2Z(_delta_generator_coeff(i) * _delta_twist_coeff(nu, j)
+                 * c_constant(i + j - nu, params))
+
+
+def _entry_mismatches(block: EtaMatrix, expected: list[list[Fraction]]) -> list[str]:
+    return [f"({i},{j}) is {block.entries[i][j]}, expected {Mod2Z(want)}"
+            for i, row in enumerate(expected) for j, want in enumerate(row)
+            if block.entries[i][j] != Mod2Z(want)]
+
+
+def _form_check(name: str, form: str, mismatches: list[str]) -> Check:
+    return Check(name, not mismatches, form, "; ".join(mismatches) or form)
 
 
 @dataclass(frozen=True)
@@ -253,6 +231,50 @@ class KGroupReport:
     splitting: tuple[tuple[str, str], ...]
 
 
+def structure_checks(report: KGroupReport) -> list[Check]:
+    """Every closed-form expectation of a KSp or ko report, as named rows.
+
+    KSp at nu: the theta block entry by entry, the delta block against its
+    printed pattern, the theta block's structure, the order formula, the
+    spectral-sequence bound and the block sum.  ko in degree 4k-1: the lens
+    block against the theta pattern at nu = k + 1, its structure, the order
+    formula and the splitting pattern.  For ell > 8 the printed lens block is
+    the scaled identity, a row reduction of that pattern (whose determinant
+    is odd), so only the spans are compared.
+    """
+    params, ell, index = report.params, report.params.ell, report.index
+    nu = index if report.kind == "ksp" else index + 1
+    theta_block = AbelianGroup((2 ** theta_block_exponent(nu),) * 2)
+    pattern = _theta_pattern(nu, params)
+    if report.kind == "ksp":
+        where = f"ell{ell}/nu{nu}"
+        b_bad = [f"({i},{j})" for i in range(1, nu) for j in range(1, nu)
+                 if report.b_matrix.entries[i - 1][j - 1] != _printed_b_entry(nu, i, j, params)]
+        return [
+            _form_check(f"matrix/a-closed-form/{where}", "closed form",
+                        _entry_mismatches(report.a_matrix, pattern)),
+            _check_all(f"matrix/b-printed-pattern/{where}", b_bad, (nu - 1) ** 2),
+            _check(f"ksp/a-block/{where}", theta_block, report.a_block),
+            _check(f"ksp/order/{where}", ksp_order_formula(nu, params), report.order),
+            _check(f"ksp/ahss-bound/{where}", report.ahss_bound, report.order),
+            _check(f"ksp/block-sum/{where}",
+                   report.a_block.direct_sum(report.b_block), report.group),
+        ]
+    where = f"ell{ell}/k{index}"
+    if ell == 8:
+        kind, c_bad = "entries", _entry_mismatches(report.a_matrix, pattern)
+    else:
+        kind, printed = "span", quotient_group(pattern)
+        c_bad = [] if report.a_block == printed else [
+            f"lens block spans {report.a_block}, printed form spans {printed}"]
+    return [
+        _form_check(f"matrix/c-{kind}/{where}", "printed form", c_bad),
+        _check(f"ko/c-block/{where}", theta_block, report.a_block),
+        _check(f"ko/order/{where}", ko_order_formula(index, params), report.order),
+        _check(f"splitting/theta-block/{where}", theta_block, report.a_block),
+    ]
+
+
 _SPLITTING_A = "two copies of ko(desuspended BS^3/BN); the theta/lens rows"
 _SPLITTING_B = "ko(B SL_2(F_q)); the delta-power rows"
 
@@ -270,26 +292,26 @@ def _check_off_blocks(full: EtaMatrix, split: int) -> None:
 
 
 def _assemble(kind: str, index: int, params: GroupParams, full: EtaMatrix,
-              a_matrix: EtaMatrix, b_matrix: EtaMatrix,
-              expected_a_exponent: int, bound: int) -> KGroupReport:
+              bound: int) -> KGroupReport:
     _check_off_blocks(full, 2)
-    group = full.span()
-    a_block = a_matrix.span()
-    b_block = b_matrix.span()
-    expected_a = AbelianGroup((2 ** expected_a_exponent,) * 2)
-    if a_block != expected_a:
-        raise StructureMismatchError(
-            f"{kind} theta/lens block is {a_block}, expected {expected_a}")
+    n = full.shape[0]
+    a_matrix = full.submatrix(range(2), range(2))
+    b_matrix = full.submatrix(range(2, n), range(2, n))
+    group, a_block, b_block = full.span(), a_matrix.span(), b_matrix.span()
     if group != a_block.direct_sum(b_block):
         raise StructureMismatchError(
             f"{kind} group {group} is not the direct sum of its blocks "
             f"{a_block} and {b_block}")
-    return KGroupReport(
+    report = KGroupReport(
         kind=kind, params=params, index=index, group=group,
         a_block=a_block, b_block=b_block, order=group.order, ahss_bound=bound,
         matrix=full, a_matrix=a_matrix, b_matrix=b_matrix,
         splitting=(("A", _SPLITTING_A), ("B", _SPLITTING_B)),
     )
+    for row in structure_checks(report):
+        if not row.passed:
+            raise StructureMismatchError(row.line())
+    return report
 
 
 @lru_cache(maxsize=None)
@@ -297,11 +319,8 @@ def ksp_group(nu: int, params: GroupParams) -> KGroupReport:
     """Structure of KSp of the 4*nu-1 dimensional quaternion space form (nu >= 2)."""
     if nu < 2:
         raise ValueError(f"need nu >= 2, got {nu}")
-    full = ksp_eta_matrix(nu, params)
-    exponent = nu if nu % 2 == 0 else nu - 1
-    return _assemble("ksp", nu, params, full,
-                     matrix_A(nu, params), matrix_B(nu, params),
-                     exponent, ahss_order_bound(nu, params))
+    return _assemble("ksp", nu, params, ksp_eta_matrix(nu, params),
+                     ahss_order_bound(nu, params))
 
 
 @lru_cache(maxsize=None)
@@ -310,21 +329,8 @@ def ko_group(k: int, params: GroupParams) -> KGroupReport:
     space (k >= 1).  Uses the dimension shift nu = k + 1 throughout."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    full = ko_eta_matrix(k, params)
-    exponent = k if k % 2 == 0 else k + 1
-    return _assemble("ko", k, params, full,
-                     matrix_C(k, params), matrix_B_manifold(k, params),
-                     exponent, ahss_order_bound(k + 1, params))
-
-
-def ksp_order_formula(nu: int, params: GroupParams) -> int:
-    """Closed form for |KSp|: 4^nu ell^(nu-1) for even nu, 4^(nu-1) ell^(nu-1) odd."""
-    return 4 ** (nu if nu % 2 == 0 else nu - 1) * params.ell ** (nu - 1)
-
-
-def ko_order_formula(k: int, params: GroupParams) -> int:
-    """Closed form for |ko|: 4^k ell^k for even k, 4^(k+1) ell^k for odd k."""
-    return 4 ** (k if k % 2 == 0 else k + 1) * params.ell ** k
+    return _assemble("ko", k, params, ko_eta_matrix(k, params),
+                     ahss_order_bound(k + 1, params))
 
 
 def ko_ksp_isomorphism_check(k: int, params: GroupParams) -> bool:

@@ -2,26 +2,27 @@
 
 Each check compares an independently stated expectation (a closed form, a
 printed matrix pattern, a brute-force enumeration) against the computed
-value, and reports name / pass / expected / actual.  The CLI ``verify``
-command runs the whole list and fails its exit code on any mismatch.
+value, and reports name / pass / expected / actual.  The K-group rows are
+:func:`qko.ktheory.structure_checks`, the table that ``ksp_group`` /
+``ko_group`` assert.  The CLI ``verify`` command runs the whole list and
+fails its exit code on any mismatch.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .abelian import (
     AbelianGroup,
-    identity_matrix,
     matrix_determinant,
     matrix_product,
     quotient_group,
     smith_normal_form,
 )
-from .cyclotomic import Cyclo, Mod2Z, NotRationalError
+from .checks import Check, _check, _check_all
+from .cyclotomic import Cyclo, NotRationalError
 from .eta import eta_lens_difference, eta_pair, eta_theta_closed_form, quaternion_space
 from .groups import (
     GroupParams,
@@ -42,48 +43,9 @@ from .groups import (
     quaternion_group,
     theta,
 )
-from .ktheory import (
-    StructureMismatchError,
-    _delta_generator_coeff,
-    _delta_twist_coeff,
-    ahss_order_bound,
-    ko_group,
-    ko_ksp_isomorphism_check,
-    ko_order_formula,
-    ksp_group,
-    ksp_order_formula,
-    matrix_A,
-    matrix_B,
-    matrix_B_manifold,
-    matrix_C,
-)
+from .ktheory import ko_group, ko_ksp_isomorphism_check, ksp_group, structure_checks
 
 RANDOM_SEED = 1789
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    expected: str
-    actual: str
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        if self.passed:
-            return f"{status} {self.name}: {self.expected} == {self.actual}"
-        return f"{status} {self.name}: expected {self.expected}, got {self.actual}"
-
-
-def _check(name, expected, actual) -> Check:
-    return Check(name, expected == actual, str(expected), str(actual))
-
-
-def _check_all(name, mismatches, total) -> Check:
-    if mismatches:
-        return Check(name, False, "no mismatches",
-                     f"{len(mismatches)} of {total}: " + "; ".join(mismatches[:3]))
-    return Check(name, True, f"all {total} cases", f"all {total} cases")
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +73,14 @@ def _character_checks(params: GroupParams) -> list[Check]:
     out.append(_check(f"chars/dim-square-sum/ell{ell}", ell,
                       sum(char_dim(l) ** 2 for l in labels)))
 
+    # the indicator's defining sum (1/ell) sum_g chi(g^2), over the classes
+    group = quaternion_group(params)
     bad = []
     for label in labels:
         got = fs_indicator(params, label)
-        if label.startswith("gamma"):
-            want = -1 if int(label[5:]) % 2 else 1
-        else:
-            want = 1
-        if got != want:
+        total = sum((size * char_value(params, label, group.square(rep))
+                     for rep, size in classes), Cyclo.zero(params.conductor))
+        if got != total.to_rational() / ell:
             bad.append(f"fs({label})={got}")
     out.append(_check_all(f"chars/fs-types/ell{ell}", bad, len(labels)))
 
@@ -269,69 +231,19 @@ def _matrix_checks(params: GroupParams, max_nu: int, max_k: int) -> list[Check]:
     ell = params.ell
     out = []
     for nu in range(2, max_nu + 1):
-        # the constructor re-verifies the closed form internally
-        try:
-            matrix_A(nu, params)
-            out.append(Check(f"matrix/a-closed-form/ell{ell}/nu{nu}", True,
-                             "closed form", "closed form"))
-        except StructureMismatchError as exc:
-            out.append(Check(f"matrix/a-closed-form/ell{ell}/nu{nu}", False,
-                             "closed form", str(exc)))
-
-        b = matrix_B(nu, params)
-        bad = []
-        for i in range(1, nu):
-            for j in range(1, nu):
-                if i + j > nu:
-                    want = Mod2Z(0)  # the printed pattern is zero above the antidiagonal
-                else:
-                    want = Mod2Z(_delta_generator_coeff(i) * _delta_twist_coeff(nu, j)
-                                 * c_constant(i + j - nu, params))
-                if b.entries[i - 1][j - 1] != want:
-                    bad.append(f"({i},{j})")
-        out.append(_check_all(f"matrix/b-printed-pattern/ell{ell}/nu{nu}", bad, (nu - 1) ** 2))
-
-        report = ksp_group(nu, params)
-        exponent = nu if nu % 2 == 0 else nu - 1
-        out.append(_check(f"ksp/a-block/ell{ell}/nu{nu}",
-                          AbelianGroup((2 ** exponent,) * 2), report.a_block))
-        out.append(_check(f"ksp/order/ell{ell}/nu{nu}",
-                          ksp_order_formula(nu, params), report.order))
-        out.append(_check(f"ksp/ahss-bound/ell{ell}/nu{nu}",
-                          ahss_order_bound(nu, params), report.order))
-        out.append(_check(f"ksp/block-sum/ell{ell}/nu{nu}",
-                          report.a_block.direct_sum(report.b_block), report.group))
-
+        out.extend(structure_checks(ksp_group(nu, params)))
+    # ktheory states each closed form; verify adds the rows that compare two reports
     for k in range(1, max_k + 1):
-        kind = "entries" if ell == 8 else "span"
-        try:
-            matrix_C(k, params)  # entrywise for ell=8, span-level above
-            out.append(Check(f"matrix/c-{kind}/ell{ell}/k{k}", True,
-                             "printed form", "printed form"))
-        except StructureMismatchError as exc:
-            out.append(Check(f"matrix/c-{kind}/ell{ell}/k{k}", False,
-                             "printed form", str(exc)))
-
-        bundle_b = matrix_B(k + 1, params)
-        manifold_b = matrix_B_manifold(k, params)
-        out.append(_check(f"matrix/b-manifold-vs-bundle/ell{ell}/k{k}",
-                          [[str(e) for e in row] for row in bundle_b.entries],
-                          [[str(e) for e in row] for row in manifold_b.entries]))
-
         report = ko_group(k, params)
-        exponent = k if k % 2 == 0 else k + 1
-        out.append(_check(f"ko/c-block/ell{ell}/k{k}",
-                          AbelianGroup((2 ** exponent,) * 2), report.a_block))
-        out.append(_check(f"ko/order/ell{ell}/k{k}",
-                          ko_order_formula(k, params), report.order))
-        out.append(_check(f"ko-ksp-iso/ell{ell}/k{k}", True,
-                          ko_ksp_isomorphism_check(k, params)))
-
-        # the order-4-generated block realizes the expected 2-power pattern
-        # in degrees 8n+3 and 8n+7 (n = (k-1)//2)
-        n = (k - 1) // 2
-        out.append(_check(f"splitting/theta-block/ell{ell}/k{k}",
-                          AbelianGroup((2 ** (2 * n + 2),) * 2), report.a_block))
+        c_form, c_block, order, splitting = structure_checks(report)
+        bundle_b = ksp_group(k + 1, params).b_matrix
+        out += [c_form,
+                _check(f"matrix/b-manifold-vs-bundle/ell{ell}/k{k}",
+                       [[str(e) for e in row] for row in bundle_b.entries],
+                       [[str(e) for e in row] for row in report.b_matrix.entries]),
+                c_block, order,
+                _check(f"ko-ksp-iso/ell{ell}/k{k}", True, ko_ksp_isomorphism_check(k, params)),
+                splitting]
     return out
 
 

@@ -13,18 +13,21 @@ from math import gcd
 import pytest
 
 from qko.abelian import AbelianGroup, matrix_determinant, matrix_product, quotient_group, smith_normal_form
-from qko.cyclotomic import Mod2Z
+from qko.cyclotomic import Cyclo, Mod2Z
 from qko.eta import NotReducedError, eta_pair, eta_theta_closed_form, quaternion_space
 from qko.groups import (
     GroupParams,
     VirtualCharacter,
     c_constant,
     char_dim,
+    char_value,
+    conjugacy_classes,
     delta_power,
     fs_indicator,
     inner_product,
     irreducible_labels,
     membership,
+    quaternion_group,
     theta,
 )
 from qko.ktheory import (
@@ -33,10 +36,6 @@ from qko.ktheory import (
     ko_order_formula,
     ksp_group,
     ksp_order_formula,
-    matrix_A,
-    matrix_B,
-    matrix_B_manifold,
-    matrix_C,
 )
 from qko.verify import brute_force_span
 
@@ -161,13 +160,14 @@ def test_criterion_7_matrix_reproduction():
         for ell in ELLS:
             params = GroupParams(ell)
             for nu in NUS:
-                a = matrix_A(nu, params)  # raises if the closed form is violated
+                report = ksp_group(nu, params)  # raises if a closed form is violated
+                a = report.a_matrix
                 scale = Fraction(2) ** ((1 if nu % 2 == 0 else 2) - nu)
                 side = ell // 8
                 assert a.entries[0][0] == Mod2Z(scale * (side + 1))
                 assert a.entries[1][0] == Mod2Z(scale * side)
 
-                b = matrix_B(nu, params)
+                b = report.b_matrix
                 for i in range(1, nu):
                     for j in range(1, nu):
                         eps = 2 if i % 2 == 0 else 1
@@ -178,7 +178,8 @@ def test_criterion_7_matrix_reproduction():
                         assert b.entries[i - 1][j - 1] == want, (ell, nu, i, j)
 
             for k in KS:
-                c = matrix_C(k, params)  # raises unless entry/span check passes
+                ko_report = ko_group(k, params)  # raises unless entry/span check passes
+                c = ko_report.a_matrix
                 coeff = (2 if k % 2 == 0 else 1) * Fraction(1, 2 ** k)
                 if ell == 8:
                     assert c.entries[0][0] == Mod2Z(2 * coeff)
@@ -186,7 +187,7 @@ def test_criterion_7_matrix_reproduction():
                 else:
                     printed = [[coeff, Fraction(0)], [Fraction(0), coeff]]
                     assert c.span() == quotient_group(printed)
-                assert matrix_B_manifold(k, params).entries == matrix_B(k + 1, params).entries
+                assert ko_report.b_matrix.entries == ksp_group(k + 1, params).b_matrix.entries
 
 
 def test_criterion_8_character_theory():
@@ -202,11 +203,17 @@ def test_criterion_8_character_theory():
                     got = inner_product(VirtualCharacter.irreducible(params, l1),
                                         VirtualCharacter.irreducible(params, l2))
                     assert got == (1 if l1 == l2 else 0), (ell, l1, l2)
+            group = quaternion_group(params)
             for label in labels:
                 want = 1
                 if label.startswith("gamma") and int(label[5:]) % 2:
                     want = -1
-                assert fs_indicator(params, label) == want, (ell, label)
+                # the defining sum (1/ell) sum_g chi(g^2), over the classes
+                total = sum((size * char_value(params, label, group.square(rep))
+                             for rep, size in conjugacy_classes(params)),
+                            Cyclo.zero(params.conductor))
+                assert fs_indicator(params, label) == want == total.to_rational() / ell, \
+                    (ell, label)
 
 
 def test_criterion_9_oracle_equivalence():

@@ -176,12 +176,20 @@ def test_orthonormality_and_dimension_sum():
 
 def test_frobenius_schur_classification():
     for params in ALL:
+        group = quaternion_group(params)
         for label in irreducible_labels(params):
             got = fs_indicator(params, label)
+            # the defining sum (1/ell) sum_g chi(g^2), over the classes
+            total = sum((size * char_value(params, label, group.square(rep))
+                         for rep, size in conjugacy_classes(params)),
+                        Cyclo.zero(params.conductor))
+            assert got == total.to_rational() / params.ell, (params.ell, label)
             if label.startswith("gamma"):
                 assert got == (-1 if int(label[5:]) % 2 else 1), (params.ell, label)
             else:
                 assert got == 1, (params.ell, label)
+    with pytest.raises(ValueError):
+        fs_indicator(P8, "gamma2")
 
 
 def test_theta_inner_products_from_known_table():
@@ -238,6 +246,15 @@ def test_decompose_roundtrip_and_failure():
     assert decompose(P8, values) == VirtualCharacter.irreducible(P8, "gamma1")
     with pytest.raises(NotVirtualError):
         decompose(P8, [Fraction(1, 2)] * len(reps))
+
+
+def test_decompose_rejects_values_it_cannot_give_back():
+    # adding zeta_8^2 at the xi^1 class leaves every constant coefficient, so
+    # every multiplicity, as for gamma1; only the round trip catches it
+    values = [char_value(P16, "gamma1", rep) for rep, _ in conjugacy_classes(P16)]
+    values[2] = values[2] + Cyclo.root_of_unity(8, 2)
+    with pytest.raises(NotVirtualError):
+        decompose(P16, values)
 
 
 def test_delta_class_function_is_the_determinant():

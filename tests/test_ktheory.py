@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qko import ktheory
 from qko.abelian import AbelianGroup, quotient_group
 from qko.cyclotomic import Mod2Z
 from qko.groups import GroupParams
@@ -18,10 +19,8 @@ from qko.ktheory import (
     ksp_generators,
     ksp_group,
     ksp_order_formula,
-    matrix_A,
-    matrix_B,
-    matrix_B_manifold,
-    matrix_C,
+    structure_checks,
+    theta_block_exponent,
     twist_schedule,
 )
 from qko.groups import c_constant
@@ -45,16 +44,16 @@ def test_twist_schedule_coefficient_pattern():
 
 
 def test_matrix_a_order_8_nu_2():
-    a = matrix_A(2, P8)
+    a = ksp_group(2, P8).a_matrix
     expected = [[Mod2Z(1), Mod2Z(Fraction(1, 2))], [Mod2Z(Fraction(1, 2)), Mod2Z(1)]]
     assert [list(row) for row in a.entries] == expected
 
 
 def test_matrix_a_closed_form_all():
-    # the constructor itself raises on any mismatch with the closed form
+    # ksp_group itself raises on any mismatch with the closed form
     for params in ELLS:
         for nu in range(2, 6):
-            a = matrix_A(nu, params)
+            a = ksp_group(nu, params).a_matrix
             scale = Fraction(2) ** ((1 if nu % 2 == 0 else 2) - nu)
             side = params.ell // 8
             assert a.entries[0][0] == Mod2Z(scale * (side + 1))
@@ -64,7 +63,7 @@ def test_matrix_a_closed_form_all():
 
 
 def test_matrix_b_order_8_nu_2():
-    b = matrix_B(2, P8)
+    b = ksp_group(2, P8).b_matrix
     assert [list(row) for row in b.entries] == [[Mod2Z(Fraction(7, 4))]]
 
 
@@ -73,7 +72,7 @@ def test_matrix_b_printed_patterns():
     # antidiagonal, zeros above it (those entries are even integers mod 2Z)
     for params in ELLS:
         for nu in range(2, 6):
-            b = matrix_B(nu, params)
+            b = ksp_group(nu, params).b_matrix
             for i in range(1, nu):
                 for j in range(1, nu):
                     eps = 2 if i % 2 == 0 else 1
@@ -87,6 +86,19 @@ def test_matrix_b_printed_patterns():
                     else:
                         assert got == Mod2Z(eps * dlt * c_constant(i + j - nu, params)), \
                             (params.ell, nu, i, j)
+
+
+def test_b_pattern_vanishes_above_antidiagonal():
+    # above the antidiagonal the coefficient-scheduled c-values are even
+    # integers, so the printed zeros there are the same entries mod 2Z
+    for params in ELLS:
+        for nu in range(2, 6):
+            for i in range(1, nu):
+                for j in range(nu - i + 1, nu):
+                    eps = 2 if i % 2 == 0 else 1
+                    dlt = (2 if j % 2 == 1 else 1) if nu % 2 == 0 else (2 if j % 2 == 0 else 1)
+                    assert Mod2Z(eps * dlt * c_constant(i + j - nu, params)) == Mod2Z(0), \
+                        (params.ell, nu, i, j)
 
 
 def test_off_diagonal_blocks_vanish():
@@ -107,7 +119,7 @@ def test_off_diagonal_blocks_vanish():
 
 def test_matrix_c_order_8_entries():
     for k in (1, 2, 3, 4):
-        c = matrix_C(k, P8)
+        c = ko_group(k, P8).a_matrix
         coeff = (2 if k % 2 == 0 else 1) * Fraction(1, 2 ** k)
         expected = [[Mod2Z(2 * coeff), Mod2Z(coeff)], [Mod2Z(coeff), Mod2Z(2 * coeff)]]
         assert [list(row) for row in c.entries] == expected
@@ -117,7 +129,7 @@ def test_matrix_c_span_larger_orders():
     # the computed block is row-equivalent to the printed scaled identity
     for params in (P16, P32):
         for k in (1, 2, 3):
-            c = matrix_C(k, params)
+            c = ko_group(k, params).a_matrix
             coeff = (2 if k % 2 == 0 else 1) * Fraction(1, 2 ** k)
             printed = [[coeff, Fraction(0)], [Fraction(0), coeff]]
             assert c.span() == quotient_group(printed), (params.ell, k)
@@ -130,8 +142,8 @@ def test_matrix_c_span_larger_orders():
 def test_b_manifold_equals_b_bundle():
     for params in ELLS:
         for k in (1, 2, 3, 4):
-            manifold = matrix_B_manifold(k, params)
-            bundle = matrix_B(k + 1, params)
+            manifold = ko_group(k, params).b_matrix
+            bundle = ksp_group(k + 1, params).b_matrix
             assert manifold.entries == bundle.entries, (params.ell, k)
 
 
@@ -208,7 +220,51 @@ def test_splitting_block_pattern():
             n = (k - 1) // 2
             degree = 4 * k - 1
             assert degree % 8 in (3, 7)
+            assert 2 * n + 2 == theta_block_exponent(k + 1)
             assert ko_group(k, params).a_block == AbelianGroup((2 ** (2 * n + 2),) * 2)
+
+
+def test_structure_check_rows():
+    ksp_rows = structure_checks(ksp_group(3, P16))
+    assert [c.name for c in ksp_rows] == [
+        "matrix/a-closed-form/ell16/nu3", "matrix/b-printed-pattern/ell16/nu3",
+        "ksp/a-block/ell16/nu3", "ksp/order/ell16/nu3", "ksp/ahss-bound/ell16/nu3",
+        "ksp/block-sum/ell16/nu3"]
+    for params, kind in ((P8, "entries"), (P16, "span")):
+        ko_rows = structure_checks(ko_group(2, params))
+        assert [c.name for c in ko_rows] == [
+            f"matrix/c-{kind}/ell{params.ell}/k2", f"ko/c-block/ell{params.ell}/k2",
+            f"ko/order/ell{params.ell}/k2", f"splitting/theta-block/ell{params.ell}/k2"]
+        assert all(c.passed for c in ko_rows)
+    assert all(c.passed for c in ksp_rows)
+
+
+def _doubled(real):
+    return lambda nu, params: [[2 * x for x in row] for row in real(nu, params)]
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("theta_block_exponent", lambda real: lambda nu: real(nu) + 2),
+    ("_theta_pattern", _doubled),
+])
+def test_wrong_expectation_makes_the_groups_raise(monkeypatch, name, wrong):
+    monkeypatch.setattr(ktheory, name, wrong(getattr(ktheory, name)))
+    ksp_group.cache_clear()
+    ko_group.cache_clear()
+    for params in (P8, P16):
+        with pytest.raises(StructureMismatchError):
+            ksp_group(2, params)
+        with pytest.raises(StructureMismatchError):
+            ko_group(1, params)
+
+
+def test_wrong_b_pattern_makes_ksp_group_raise(monkeypatch):
+    real = ktheory._printed_b_entry
+    monkeypatch.setattr(ktheory, "_printed_b_entry",
+                        lambda nu, i, j, params: real(nu, i, j, params) + Mod2Z(1))
+    ksp_group.cache_clear()
+    with pytest.raises(StructureMismatchError, match="b-printed-pattern"):
+        ksp_group(3, P8)
 
 
 def test_main_isomorphism():
