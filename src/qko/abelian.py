@@ -9,7 +9,7 @@ minimal-absolute-value entry as pivot to keep coefficients small.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 IntMatrix = list[list[int]]
@@ -233,8 +233,7 @@ class AbelianGroup:
         return " x ".join(f"Z{d}" for d in self.invariant_factors)
 
 
-def quotient_group(generators: Sequence[Sequence[Fraction | int]],
-                   ambient_dim: int | None = None) -> AbelianGroup:
+def quotient_group(generators: Sequence[Sequence[Fraction | int]]) -> AbelianGroup:
     """Isomorphism type of the subgroup of (Q/2Z)^n spanned by the generators.
 
     Scaling by d, the lcm of all denominators, identifies the subgroup with
@@ -242,8 +241,7 @@ def quotient_group(generators: Sequence[Sequence[Fraction | int]],
     drop out of the Smith form of the stacked matrix [rows; 2d*I].
     """
     gens = [tuple(Fraction(x) % 2 for x in g) for g in generators]
-    if ambient_dim is None:
-        ambient_dim = len(gens[0]) if gens else 0
+    ambient_dim = len(gens[0]) if gens else 0
     if any(len(g) != ambient_dim for g in gens):
         raise DimensionMismatchError("generators have inconsistent lengths")
     if not gens or ambient_dim == 0:

@@ -14,10 +14,12 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .abelian import AbelianGroup
-from .eta import eta_pair, quaternion_space
+from .checks import Check, _check
+from .eta import SpaceForm, eta_pair
 from .groups import (
     GroupParams,
     InvalidParamsError,
@@ -33,7 +35,6 @@ from .groups import (
     standard_fpf,
     theta,
 )
-from .eta import SpaceForm
 from .ktheory import KGroupReport, ko_group, ko_order_formula, ksp_group, ksp_order_formula
 from .verify import run_verification
 
@@ -166,14 +167,12 @@ def cmd_chartable(args) -> tuple[dict, str, int]:
     return report, "\n".join(lines) + "\n", 0
 
 
-def _kgroup_checks(report: KGroupReport) -> list[dict]:
+def _kgroup_checks(report: KGroupReport) -> list[Check]:
     order_formula = ksp_order_formula if report.kind == "ksp" else ko_order_formula
-    formula = order_formula(report.index, report.params)
     return [
-        {"name": f"{report.kind}/order-vs-bound", "passed": report.order == report.ahss_bound,
-         "expected": str(report.ahss_bound), "actual": str(report.order)},
-        {"name": f"{report.kind}/order-formula", "passed": report.order == formula,
-         "expected": str(formula), "actual": str(report.order)},
+        _check(f"{report.kind}/order-vs-bound", report.ahss_bound, report.order),
+        _check(f"{report.kind}/order-formula",
+               order_formula(report.index, report.params), report.order),
     ]
 
 
@@ -190,8 +189,9 @@ def _kgroup_report(report: KGroupReport, command: str, params_json: dict) -> tup
         "matrix_full": _matrix_json(report.matrix),
         "splitting": {name: desc for name, desc in report.splitting},
     }
+    checks = _kgroup_checks(report)
     json_report = {"schema": SCHEMA, "command": command, "params": params_json,
-                   "results": results, "checks": _kgroup_checks(report)}
+                   "results": results, "checks": [asdict(c) for c in checks]}
 
     title = ("KSp of the quaternion spherical space form of dimension "
              f"{4 * report.index - 1} (ell={report.params.ell}, nu={report.index})"
@@ -211,9 +211,7 @@ def _kgroup_report(report: KGroupReport, command: str, params_json: dict) -> tup
         for lbl, row in zip(matrix.row_labels, matrix.entries):
             lines.append("  " + lbl.ljust(label_width)
                          + "".join(_frac_str(e.rep).ljust(width) for e in row))
-    for check in json_report["checks"]:
-        status = "PASS" if check["passed"] else "FAIL"
-        lines.append(f"{status} {check['name']}: {check['expected']} == {check['actual']}")
+    lines += [c.line() for c in checks]
     return json_report, "\n".join(lines) + "\n"
 
 
@@ -235,10 +233,6 @@ def cmd_ko(args) -> tuple[dict, str, int]:
     return json_report, text, 0
 
 
-_SUBGROUPS = {"full": Subgroup.FULL, "I": Subgroup.GEN_I,
-              "J": Subgroup.GEN_J, "xiJ": Subgroup.GEN_XI_J}
-
-
 def cmd_eta(args) -> tuple[dict, str, int]:
     params = _params(args.ell)
     if args.nu < 1:
@@ -248,7 +242,7 @@ def cmd_eta(args) -> tuple[dict, str, int]:
         raise UsageError(f"the twisting character must have dimension 0, "
                          f"got dimension {sigma.dimension}")
     bundle = parse_character(params, args.bundle) if args.bundle else None
-    space = SpaceForm(params, _SUBGROUPS[args.subgroup], standard_fpf(params, args.nu))
+    space = SpaceForm(params, Subgroup(args.subgroup), standard_fpf(params, args.nu))
     value = eta_pair(space, sigma, bundle)
     params_json = {"ell": params.ell, "nu": args.nu, "sigma": args.sigma,
                    "bundle": args.bundle, "subgroup": args.subgroup}
@@ -281,8 +275,7 @@ def cmd_verify(args) -> tuple[dict, str, int]:
     report = {"schema": SCHEMA, "command": "verify",
               "params": {"ell": ells, "max_nu": args.max_nu, "max_k": args.max_k},
               "results": results,
-              "checks": [{"name": c.name, "passed": c.passed,
-                          "expected": c.expected, "actual": c.actual} for c in checks]}
+              "checks": [asdict(c) for c in checks]}
     lines = [c.line() for c in checks]
     lines.append(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
     return report, "\n".join(lines) + "\n", 1 if failed else 0
@@ -320,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--sigma", type=str, required=True)
     p.add_argument("--bundle", type=str, default=None)
-    p.add_argument("--subgroup", choices=tuple(_SUBGROUPS), default="full")
+    p.add_argument("--subgroup", choices=[s.value for s in Subgroup], default="full")
     add_common(p)
 
     p = sub.add_parser("verify", help="run the full verification suite")

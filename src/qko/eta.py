@@ -63,10 +63,6 @@ class SpaceForm:
         return self.tau.nu
 
     @property
-    def sphere_dim(self) -> int:
-        return 4 * self.tau.nu - 1
-
-    @property
     def a_roof_factor(self) -> int:
         return 2 if self.z_factor % 2 else 1
 
@@ -145,22 +141,22 @@ def eta_pair(space: SpaceForm, sigma: VirtualCharacter,
 
 
 def eta_theta_closed_form(i1: int, i2: int, nu: int, params: GroupParams) -> Fraction:
-    """Independent closed form for the theta-theta pairings on the full group.
+    """Independent closed form for the theta-theta pairings on the full group:
+    2^(-nu) * (ell/8 + [i1 == i2]).
 
     Both class functions are supported on the order-4 elements, where the
     acting representation contributes det = 2 per summand, so the sum
     collapses to counting support overlaps: the two +-I elements always
     contribute (ell/4)^2 each, and the ell/2 reflections contribute 4 apiece
-    exactly when the two indices agree.
+    exactly when the two indices agree; (1/ell) * (2 (ell/4)^2 + 4 (ell/4))
+    is ell/8 + 1.  The ktheory theta and lens blocks and verify's lens
+    triples are this value, scaled.
     """
     if i1 not in (1, 2) or i2 not in (1, 2):
         raise ValueError("theta indices must be 1 or 2")
     if nu < 1:
         raise ValueError(f"need nu >= 1, got {nu}")
-    support = 2 * Fraction(params.ell, 4) ** 2
-    if i1 == i2:
-        support += 4 * Fraction(params.ell, 4)
-    return Fraction(1, params.ell) * Fraction(1, 2 ** nu) * support
+    return Fraction(params.eighth + (i1 == i2), 2 ** nu)
 
 
 def eta_lens_difference(subtrahend: Subgroup, k: int, sigma: VirtualCharacter,

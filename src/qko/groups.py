@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .cyclotomic import Cyclo, NotRationalError
+from .cyclotomic import Cyclo
 
 
 class InvalidParamsError(ValueError):
@@ -41,10 +41,6 @@ class GroupParams:
     def __post_init__(self) -> None:
         if self.ell < 8 or self.ell & (self.ell - 1):
             raise InvalidParamsError(f"group order must be a power of two >= 8, got {self.ell}")
-
-    @property
-    def j(self) -> int:
-        return self.ell.bit_length() - 1
 
     @property
     def half(self) -> int:
@@ -111,13 +107,6 @@ class QuaternionGroup:
 
     def square(self, g: GroupElement) -> GroupElement:
         return self.mul(g, g)
-
-    def order_of(self, g: GroupElement) -> int:
-        power, n = g, 1
-        while power != self.identity:
-            power = self.mul(power, g)
-            n += 1
-        return n
 
     def class_index(self, g: GroupElement) -> int:
         """Position of the class of g in :attr:`classes`."""
@@ -209,20 +198,6 @@ def gamma_trace(params: GroupParams, u: int, g: GroupElement) -> Cyclo:
             + Cyclo.root_of_unity(params.conductor, -u * g.a))
 
 
-def gamma_matrix(params: GroupParams, u: int, g: GroupElement) -> tuple[tuple[Cyclo, ...], ...]:
-    """The explicit 2x2 unitary matrix of the representation indexed by u at g."""
-    group = quaternion_group(params)
-    g = group.element(g.a, g.b)
-    m = params.conductor
-    zero = Cyclo.zero(m)
-    za = Cyclo.root_of_unity(m, u * g.a)
-    zb = Cyclo.root_of_unity(m, -u * g.a)
-    if g.b == 0:
-        return ((za, zero), (zero, zb))
-    sign = Cyclo.rational((-1) ** (u % 2), m)
-    return ((zero, sign * za), (zb, zero))
-
-
 @lru_cache(maxsize=None)
 def _char_value(params: GroupParams, label: str, a: int, b: int) -> Cyclo:
     u = _gamma_index(label)
@@ -241,10 +216,11 @@ def char_value(params: GroupParams, label: str, g: GroupElement) -> Cyclo:
 
 
 def det_one_minus_gamma(params: GroupParams, u: int, g: GroupElement) -> Cyclo:
-    """det(I - M) for the explicit 2x2 matrix M of the representation u at g."""
-    (m00, m01), (m10, m11) = gamma_matrix(params, u, g)
-    one = Cyclo.one(params.conductor)
-    return (one - m00) * (one - m11) - m01 * m10
+    """det(I - gamma_u(g)) = 1 - chi_u(g) + det gamma_u(g), where det gamma_u(g)
+    is -1 at the xi^a J elements for even u and +1 otherwise; for odd u this
+    is 2 - chi_u(g)."""
+    det = -1 if g.b % 2 and u % 2 == 0 else 1
+    return Cyclo.rational(1 + det, params.conductor) - gamma_trace(params, u, g)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +265,6 @@ class VirtualCharacter:
     @property
     def mults(self) -> dict[str, int]:
         return dict(self._mults)
-
-    def coefficient(self, label: str) -> int:
-        return dict(self._mults).get(label, 0)
 
     @property
     def dimension(self) -> int:
@@ -363,26 +336,33 @@ class VirtualCharacter:
         return out
 
 
+def _pairing(params: GroupParams, v: Sequence[Cyclo], w: Sequence[Cyclo]) -> Fraction:
+    """(1/ell) * sum_g v(g) conj(w(g)) for class functions given on the class
+    representatives, when that sum is rational.
+
+    Only the constant coefficient is formed: in the power basis the constant
+    coefficient of v * conj(w) is the dot product of the coefficient vectors.
+    Zero coefficients of w are skipped; an irreducible character value has at
+    most two nonzero ones.
+    """
+    total = Fraction(0)
+    for (_, size), x, y in zip(conjugacy_classes(params), v, w):
+        total += size * sum(a * b for a, b in zip(x.coeffs, y.coeffs) if b)
+    return total / params.ell
+
+
 def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> Fraction:
     """The class-function inner product (1/ell) * sum_g f1(g) conj(f2(g))."""
     if f1.params != f2.params:
         raise ValueError("virtual characters live over different groups")
-    params = f1.params
-    total = Cyclo.zero(params.conductor)
-    for (rep, size), v1, v2 in zip(conjugacy_classes(params),
-                                   f1.class_values(), f2.class_values()):
-        total = total + size * (v1 * v2.conjugate())
-    return (total.to_rational()) / params.ell
+    return _pairing(f1.params, f1.class_values(), f2.class_values())
 
 
 def decompose(params: GroupParams, values: Sequence[Cyclo | Fraction | int]) -> VirtualCharacter:
     """Expand a class function, given by its values on the class representatives
     in the :func:`conjugacy_classes` order, over the irreducible characters.
 
-    Only the constant coefficient of each sum of v * conj(chi) is formed: in
-    the power basis it is the dot product of the coefficient vectors of v and
-    chi, and a character value has at most two nonzero coefficients.  Raises
-    :class:`NotVirtualError` if a multiplicity is non-integral or the
+    Raises :class:`NotVirtualError` if a multiplicity is non-integral or the
     expansion does not give back the values.
     """
     classes = conjugacy_classes(params)
@@ -392,11 +372,7 @@ def decompose(params: GroupParams, values: Sequence[Cyclo | Fraction | int]) -> 
                  for v in values)
     mults = {}
     for label in irreducible_labels(params):
-        total = Fraction(0)
-        for (rep, size), v in zip(classes, vals):
-            chi = char_value(params, label, rep).coeffs
-            total += size * sum(v.coeffs[i] * c for i, c in enumerate(chi) if c)
-        m = total / params.ell
+        m = _pairing(params, vals, [char_value(params, label, rep) for rep, _ in classes])
         if m.denominator != 1:
             raise NotVirtualError(f"multiplicity of {label} is {m}, not an integer")
         mults[label] = int(m)
@@ -517,10 +493,6 @@ class FpfRep:
     @property
     def nu(self) -> int:
         return len(self.summands)
-
-    @property
-    def dim(self) -> int:
-        return 2 * len(self.summands)
 
 
 def standard_fpf(params: GroupParams, nu: int) -> FpfRep:

@@ -30,7 +30,7 @@ from functools import lru_cache
 from .abelian import AbelianGroup, quotient_group
 from .checks import Check, _check, _check_all
 from .cyclotomic import Mod2Z
-from .eta import eta_lens_difference, eta_pair, quaternion_space
+from .eta import eta_lens_difference, eta_pair, eta_theta_closed_form, quaternion_space
 from .groups import (
     GroupParams,
     Subgroup,
@@ -186,11 +186,10 @@ def ko_order_formula(k: int, params: GroupParams) -> int:
 
 
 def _theta_pattern(nu: int, params: GroupParams) -> list[list[Fraction]]:
-    """The theta block at nu, and the lens block at nu = k + 1: the theta twist
-    coefficient times 2^(1-nu) times [[s+1, s], [s, s+1]], s = ell/8."""
-    scale = Fraction(_theta_twist_coeff(nu), 2 ** (nu - 1))
-    side = params.eighth
-    return [[scale * (side + 1), scale * side], [scale * side, scale * (side + 1)]]
+    """The theta block at nu, and the lens block at nu = k + 1: the pairings
+    of 2*Theta_i against the twist coefficient times Theta_j."""
+    scale = 2 * _theta_twist_coeff(nu)
+    return [[scale * eta_theta_closed_form(i, j, nu, params) for j in (1, 2)] for i in (1, 2)]
 
 
 def _printed_b_entry(nu: int, i: int, j: int, params: GroupParams) -> Mod2Z:

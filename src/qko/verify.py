@@ -1,11 +1,11 @@
 """Named consistency checks aggregating every invariant the library promises.
 
 Each check compares an independently stated expectation (a closed form, a
-printed matrix pattern, a brute-force enumeration) against the computed
-value, and reports name / pass / expected / actual.  The K-group rows are
-:func:`qko.ktheory.structure_checks`, the table that ``ksp_group`` /
-``ko_group`` assert.  The CLI ``verify`` command runs the whole list and
-fails its exit code on any mismatch.
+printed matrix pattern, an explicit matrix, a brute-force enumeration)
+against the computed value, and reports name / pass / expected / actual.
+The K-group rows are :func:`qko.ktheory.structure_checks`, the table that
+``ksp_group`` / ``ko_group`` assert.  The CLI ``verify`` command runs the
+whole list and fails its exit code on any mismatch.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .checks import Check, _check, _check_all
 from .cyclotomic import Cyclo, NotRationalError
 from .eta import eta_lens_difference, eta_pair, eta_theta_closed_form, quaternion_space
 from .groups import (
+    GroupElement,
     GroupParams,
     Subgroup,
     VirtualCharacter,
@@ -52,6 +53,21 @@ RANDOM_SEED = 1789
 # Character theory
 # ---------------------------------------------------------------------------
 
+def gamma_matrix(params: GroupParams, u: int, g: GroupElement) -> tuple[tuple[Cyclo, ...], ...]:
+    """Independent oracle: the explicit 2x2 unitary matrix of the representation
+    indexed by u at g = xi^a J^b, diag(zeta^(ua), zeta^(-ua)) times
+    [[0, (-1)^u], [1, 0]]^b."""
+    g = quaternion_group(params).element(g.a, g.b)
+    m = params.conductor
+    zero = Cyclo.zero(m)
+    za = Cyclo.root_of_unity(m, u * g.a)
+    zb = Cyclo.root_of_unity(m, -u * g.a)
+    if g.b == 0:
+        return ((za, zero), (zero, zb))
+    sign = Cyclo.rational((-1) ** (u % 2), m)
+    return ((zero, sign * za), (zb, zero))
+
+
 def _character_checks(params: GroupParams) -> list[Check]:
     ell = params.ell
     out = []
@@ -60,11 +76,11 @@ def _character_checks(params: GroupParams) -> list[Check]:
     out.append(_check(f"chars/class-size-sum/ell{ell}", ell, sum(s for _, s in classes)))
 
     labels = irreducible_labels(params)
+    chars = [VirtualCharacter.irreducible(params, label) for label in labels]
     bad = []
-    for i, l1 in enumerate(labels):
-        for l2 in labels[i:]:
-            got = inner_product(VirtualCharacter.irreducible(params, l1),
-                                VirtualCharacter.irreducible(params, l2))
+    for i, (l1, f1) in enumerate(zip(labels, chars)):
+        for l2, f2 in zip(labels[i:], chars[i:]):
+            got = inner_product(f1, f2)
             want = Fraction(1 if l1 == l2 else 0)
             if got != want:
                 bad.append(f"<{l1},{l2}>={got}")
@@ -129,10 +145,14 @@ def _theta_and_c_checks(params: GroupParams) -> list[Check]:
             bad.append(f"c_{2 * i - 1}={odd}")
     out.append(_check_all(f"cvals/parity/ell{ell}", bad, 40))
 
-    # delta's class function is the determinant it abbreviates
+    # delta's class function, the closed-form determinant and det(I - M) of
+    # the explicit matrix agree
+    one = Cyclo.one(params.conductor)
     bad = []
     for rep, _ in conjugacy_classes(params):
-        if delta(params).value(rep) != det_one_minus_gamma(params, 1, rep):
+        (m00, m01), (m10, m11) = gamma_matrix(params, 1, rep)
+        explicit = (one - m00) * (one - m11) - m01 * m10
+        if not delta(params).value(rep) == det_one_minus_gamma(params, 1, rep) == explicit:
             bad.append(str(rep))
     out.append(_check_all(f"delta/det-match/ell{ell}", bad, len(conjugacy_classes(params))))
     return out
@@ -204,9 +224,7 @@ def _eta_checks(params: GroupParams, max_nu: int) -> list[Check]:
 def _lens_checks(params: GroupParams, max_k: int) -> list[Check]:
     ell = params.ell
     out = []
-    side = ell // 8
     for k in range(1, max_k + 1):
-        scale = Fraction(1, 2 ** k)
         triples = {}
         for name, sub in (("J", Subgroup.GEN_J), ("xiJ", Subgroup.GEN_XI_J)):
             triples[name] = (
@@ -214,10 +232,12 @@ def _lens_checks(params: GroupParams, max_k: int) -> list[Check]:
                 eta_lens_difference(sub, k, theta(2, params), params).exact,
                 eta_lens_difference(sub, k, delta_power(1, params), params).exact,
             )
-        # direct evaluation gives 2^-k (ell/8 + 1, ell/8, 0) against <J> and the
-        # swap against <xi*J>; for ell = 8 that is the printed (2, 1, 0) / (1, 2, 0)
-        want_j = (scale * (side + 1), scale * side, Fraction(0))
-        want_xij = (scale * side, scale * (side + 1), Fraction(0))
+        # the theta-theta closed form gives 2^-k (ell/8 + 1, ell/8, 0) against <J>
+        # and the swap against <xi*J>; for ell = 8 that is the printed (2, 1, 0) / (1, 2, 0)
+        same = eta_theta_closed_form(1, 1, k, params)
+        other = eta_theta_closed_form(1, 2, k, params)
+        want_j = (same, other, Fraction(0))
+        want_xij = (other, same, Fraction(0))
         out.append(_check(f"lens/triple/ell{ell}/k{k}",
                           (want_j, want_xij), (triples["J"], triples["xiJ"])))
     return out

@@ -117,7 +117,6 @@ def test_quotient_single_generator_7_4():
 
 def test_quotient_empty():
     assert quotient_group([]) == AbelianGroup(())
-    assert quotient_group([], ambient_dim=3) == AbelianGroup(())
 
 
 def test_quotient_lens_rows_order_16():

