@@ -40,6 +40,14 @@ from .verify import run_verification
 
 SCHEMA = "qko/1"
 
+# The largest inputs each command accepts; past them it exits 2 before any
+# group is built.  The ksp / ko / eta cost grows 2-3x for each doubling of
+# ell, the character table and verify's class-value oracles grow with its
+# square.  At these limits each command ran in under 10 s and 160 MB on one
+# CPU of a 2.1 GHz Xeon.
+MAX_ELL = {"chartable": 512, "ksp": 4096, "ko": 4096, "eta": 4096, "verify": 128}
+MAX_NU = 16  # nu of ksp / eta and verify's --max-nu; k and --max-k stop at MAX_NU - 1
+
 
 class UsageError(Exception):
     """Bad arguments or expressions; mapped to exit code 2."""
@@ -116,15 +124,23 @@ def parse_character(params: GroupParams, text: str) -> VirtualCharacter:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _params(ell: int) -> GroupParams:
+def _params(ell: int, command: str) -> GroupParams:
     try:
-        return GroupParams(ell)
+        params = GroupParams(ell)
     except InvalidParamsError as exc:
         raise UsageError(str(exc)) from exc
+    if ell > MAX_ELL[command]:
+        raise UsageError(f"{command} accepts group orders up to {MAX_ELL[command]}, got {ell}")
+    return params
+
+
+def _bounded(flag: str, value: int, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise UsageError(f"{flag} must be in {low}..{high}, got {value}")
 
 
 def cmd_chartable(args) -> tuple[dict, str, int]:
-    params = _params(args.ell)
+    params = _params(args.ell, "chartable")
     group = quaternion_group(params)
     classes = conjugacy_classes(params)
     labels = irreducible_labels(params)
@@ -216,27 +232,24 @@ def _kgroup_report(report: KGroupReport, command: str, params_json: dict) -> tup
 
 
 def cmd_ksp(args) -> tuple[dict, str, int]:
-    params = _params(args.ell)
-    if args.nu < 2:
-        raise UsageError(f"--nu must be >= 2, got {args.nu}")
+    params = _params(args.ell, "ksp")
+    _bounded("--nu", args.nu, 2, MAX_NU)
     report = ksp_group(args.nu, params)
     json_report, text = _kgroup_report(report, "ksp", {"ell": params.ell, "nu": args.nu})
     return json_report, text, 0
 
 
 def cmd_ko(args) -> tuple[dict, str, int]:
-    params = _params(args.ell)
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
+    params = _params(args.ell, "ko")
+    _bounded("--k", args.k, 1, MAX_NU - 1)
     report = ko_group(args.k, params)
     json_report, text = _kgroup_report(report, "ko", {"ell": params.ell, "k": args.k})
     return json_report, text, 0
 
 
 def cmd_eta(args) -> tuple[dict, str, int]:
-    params = _params(args.ell)
-    if args.nu < 1:
-        raise UsageError(f"--nu must be >= 1, got {args.nu}")
+    params = _params(args.ell, "eta")
+    _bounded("--nu", args.nu, 1, MAX_NU)
     sigma = parse_character(params, args.sigma)
     if sigma.dimension != 0:
         raise UsageError(f"the twisting character must have dimension 0, "
@@ -265,9 +278,9 @@ def cmd_verify(args) -> tuple[dict, str, int]:
     if not ells:
         raise UsageError("--ell list is empty")
     for ell in ells:
-        _params(ell)
-    if args.max_nu < 2 or args.max_k < 1:
-        raise UsageError("--max-nu must be >= 2 and --max-k >= 1")
+        _params(ell, "verify")
+    _bounded("--max-nu", args.max_nu, 2, MAX_NU)
+    _bounded("--max-k", args.max_k, 1, MAX_NU - 1)
     checks = run_verification(ells, args.max_nu, args.max_k)
     failed = [c for c in checks if not c.passed]
     results = {"summary": {"total": len(checks), "passed": len(checks) - len(failed),

@@ -14,6 +14,7 @@ algebra: it takes field norms down the 2-power tower to a rational reciprocal.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -33,21 +34,26 @@ def _check_conductor(m: int) -> None:
 
 
 def _product(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """a * b modulo x^n + 1, n = len(a) = len(b): a negacyclic convolution."""
+    """a * b modulo x^n + 1, n = len(a) = len(b): a negacyclic convolution.
+
+    It runs on integers over the product of the two common denominators; the
+    factor with fewer nonzero coefficients drives the outer loop.
+    """
     n = len(a)
-    out = [Fraction(0)] * n
+    if sum(1 for x in a if x) > sum(1 for y in b if y):
+        a, b = b, a
+    da = lcm(*(x.denominator for x in a))
+    db = lcm(*(y.denominator for y in b))
+    ib = [y.numerator * (db // y.denominator) for y in b]
+    out = [0] * n
     for i, x in enumerate(a):
         if not x:
             continue
-        for j, y in enumerate(b):
-            if not y:
-                continue
-            k = i + j
-            if k < n:
-                out[k] += x * y
-            else:
-                out[k - n] -= x * y
-    return out
+        c = x.numerator * (da // x.denominator)
+        out[i:] = [o + c * y for o, y in zip(out[i:], ib)]
+        out[:i] = [o - c * y for o, y in zip(out[:i], ib[n - i:])]
+    d = da * db
+    return [Fraction(c, d) for c in out]
 
 
 def _inverse(a: Sequence[Fraction]) -> list[Fraction]:
@@ -176,14 +182,21 @@ class Cyclo:
             raise ZeroInverseError("zero has no inverse")
         return Cyclo(self.conductor, _inverse(self.coeffs))
 
+    def galois(self, t: int) -> Cyclo:
+        """The image under the field automorphism zeta -> zeta^t, t odd."""
+        m, n = self.conductor, self.conductor // 2
+        out = [Fraction(0)] * n
+        for i, c in enumerate(self.coeffs):
+            e = i * t % m
+            if e < n:
+                out[e] += c
+            else:
+                out[e - n] -= c
+        return Cyclo(m, out)
+
     def conjugate(self) -> Cyclo:
         """Complex conjugation, the field automorphism zeta -> zeta^(-1)."""
-        n = self.conductor // 2
-        out = [Fraction(0)] * n
-        out[0] = self.coeffs[0]
-        for i in range(1, n):
-            out[n - i] -= self.coeffs[i]
-        return Cyclo(self.conductor, out)
+        return self.galois(-1)
 
     # -- predicates and extraction -----------------------------------------
 

@@ -7,11 +7,24 @@ virtual character sigma is the finite sum
 
 reduced mod 2Z.  Twisting by a virtual bundle rho inserts the extra factor
 Tr rho(h); a cartesian Z^(4j) factor multiplies the value by its A-roof genus
-(2 for odd j, 1 otherwise).  Every factor is a class function, so the sum runs
-over the conjugacy classes that H - {1} meets, each weighted by the number of
-elements of H - {1} it contains.  Everything is computed in exact cyclotomic
-arithmetic and the total must come out rational; a failure to do so signals a
-bug, not a rounding problem.
+(2 for odd j, 1 otherwise).
+
+The sum is linear in the class function sigma * rho, so it is evaluated in
+the representation ring.  The fusion rules of :mod:`qko.groups` expand
+sigma * rho over the irreducibles chi in integers, and the invariant is that
+integer combination of one rational eta vector per (group, subgroup, tau):
+
+    e[chi] = (1/|H|) * sum over h in H - {1} of chi(h) / det(I - tau(h)).
+
+The vector is summed over Galois orbits rather than classes.  The rotations
+of H of one order M >= 4 form an orbit of zeta -> zeta^t (t odd), which
+carries chi(h) / det(I - tau(h)) to its conjugates, so their sum is a field
+trace: M/2 times the constant coefficient of that quotient at one rotation,
+in the field of conductor M.  One tower inverse per order serves every tau,
+since the factor of the summand gamma_u is the conjugate zeta -> zeta^u of
+the factor of gamma_1.  The other classes are rational: det(I - tau) is 4^nu
+at -1 and 2^nu at the reflections xi^a J.  Every value is exact and rational
+by construction.
 """
 
 from __future__ import annotations
@@ -20,6 +33,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from typing import Sequence
 
 from .cyclotomic import Cyclo, Mod2Z
 from .groups import (
@@ -29,6 +44,8 @@ from .groups import (
     Subgroup,
     VirtualCharacter,
     det_I_minus,
+    irreducible_labels,
+    label_positions,
     quaternion_group,
     standard_fpf,
 )
@@ -98,19 +115,64 @@ class EtaValue:
 
 
 @lru_cache(maxsize=None)
-def _inverse_det_values(params: GroupParams, subgroup: Subgroup, summands: tuple[int, ...]
-                        ) -> tuple[tuple[GroupElement, int, Cyclo], ...]:
-    # (representative, weight, det(I - tau)^(-1)) for each class that meets the
-    # nonidentity part of the subgroup, weighted by the size of the meeting;
-    # cached because every twist over the same space reuses these.
-    group = quaternion_group(params)
-    tau = FpfRep(params, summands)
-    weights = Counter(group.class_index(h) for h in group.subgroup_elements(subgroup)
-                      if h != group.identity)
+def _factor_inverse(params: GroupParams, order: int) -> Cyclo:
+    """det(I - gamma_1(g))^(-1) at the rotation g = xi^(ell/(2*order)) of the
+    given order >= 4, in the field of conductor ``order`` that holds it."""
+    step = params.half // order
+    det = det_I_minus(standard_fpf(params, 1), GroupElement(step, 0))
+    return Cyclo(order, det.coeffs[::step]).inverse()
+
+
+@lru_cache(maxsize=None)
+def _inverse_det_values(params: GroupParams, order: int, summands: tuple[int, ...]) -> Cyclo:
+    # det(I - tau(g))^(-1) at the rotation g of the given order, for the
+    # summands in ascending order: the product of the conjugates zeta ->
+    # zeta^u of one factor.  Cached, with every prefix, because every twist
+    # and every space whose summands share a prefix reuse it.
+    last = _factor_inverse(params, order)
+    if summands[-1] != 1:
+        last = last.galois(summands[-1])
+    if len(summands) == 1:
+        return last
+    return _inverse_det_values(params, order, summands[:-1]) * last
+
+
+def _shifted_constant(y: Sequence[Fraction], j: int) -> Fraction:
+    """The constant coefficient of zeta^j * y, y given in the power basis."""
+    n = len(y)
+    e = -j % (2 * n)
+    return y[e] if e < n else -y[e - n]
+
+
+@lru_cache(maxsize=None)
+def eta_vector(params: GroupParams, subgroup: Subgroup,
+               summands: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """e[chi] = (1/|H|) * sum over h in H - {1} of chi(h) / det(I - tau(h)),
+    for each irreducible chi in :func:`irreducible_labels` order."""
+    members = quaternion_group(params).subgroup_elements(subgroup)
+    half, nu = params.half, len(summands)
+    # H meets every rotation of each order it meets, since it is a subgroup;
+    # each one contains -1, the element of order 2
+    orders = sorted({half // gcd(h.a, half) for h in members if not h.b and h.a} - {2})
+    key = tuple(sorted(summands))
+    levels = [(m, _inverse_det_values(params, m, key).coeffs) for m in orders]
+    reflections = Counter(h.a % 2 for h in members if h.b)
+    # det(I - tau) is 4^nu at -1 and 2^nu at every reflection xi^a J
+    at_minus_one, at_reflection = Fraction(1, 4 ** nu), Fraction(1, 2 ** nu)
     out = []
-    for idx, weight in sorted(weights.items()):
-        rep = group.classes[idx][0]
-        out.append((rep, weight, det_I_minus(tau, rep).inverse()))
+    for p in range(len(irreducible_labels(params))):
+        if p < 4:
+            sign_xi, sign_j = (-1) ** (p & 1), (-1) ** (p >> 1)
+            total = at_minus_one + at_reflection * sign_j * (reflections[0]
+                                                             + sign_xi * reflections[1])
+            # the rotation of order m is xi^(half/m), an odd power only when m = half
+            total += sum(m // 2 * (sign_xi if m == half else 1) * y[0] for m, y in levels)
+        else:
+            u = p - 3
+            total = 2 * (-1) ** u * at_minus_one
+            total += sum(m // 2 * (_shifted_constant(y, u) + _shifted_constant(y, -u))
+                         for m, y in levels)
+        out.append(total / len(members))
     return tuple(out)
 
 
@@ -127,17 +189,12 @@ def eta_pair(space: SpaceForm, sigma: VirtualCharacter,
         raise ValueError("characters live over a different group")
     if sigma.dimension != 0:
         raise NotReducedError(f"twisting character has dimension {sigma.dimension}, not 0")
-    group = quaternion_group(space.params)
-    order = len(group.subgroup_elements(space.subgroup))
-    total = Cyclo.zero(space.params.conductor)
-    for rep, weight, det_inv in _inverse_det_values(space.params, space.subgroup,
-                                                    space.tau.summands):
-        term = sigma.value(rep) * det_inv
-        if bundle is not None:
-            term = term * bundle.value(rep)
-        total = total + weight * term
-    exact = total.to_rational() / order * space.a_roof_factor
-    return EtaValue.from_exact(exact)
+    product = sigma if bundle is None else sigma * bundle
+    vector = eta_vector(space.params, space.subgroup, space.tau.summands)
+    positions = label_positions(space.params)
+    exact = sum((m * vector[positions[label]] for label, m in product.mults.items()),
+                Fraction(0))
+    return EtaValue.from_exact(exact * space.a_roof_factor)
 
 
 def eta_theta_closed_form(i1: int, i2: int, nu: int, params: GroupParams) -> Fraction:

@@ -7,10 +7,16 @@ b in {0, 1}.  Character values live in the cyclotomic field of conductor
 ell/2, handled exactly by :mod:`qko.cyclotomic`.
 
 The ell/4 + 3 conjugacy classes are known in closed form -- {1}, {-1},
-{xi^(+-a)} for 0 < a < ell/4, {xi^even J} and {xi^odd J} -- so every sum of a
-class function over the group (inner products, Frobenius-Schur indicators,
-the fixed point free test, eta invariants) runs over the classes, weighted
-by their sizes, rather than over the ell elements.
+{xi^(+-a)} for 0 < a < ell/4, {xi^even J} and {xi^odd J} -- and so are the
+irreducible characters: four 1-dimensional ones and gamma_u for
+0 < u < ell/4.  Virtual characters are integer combinations of them and
+multiply in the representation ring by integer fusion rules, never through
+their class values: the 1-dimensional characters form a Klein group, a
+1-dimensional character fixes or reflects the index u of gamma_u, and
+gamma_u * gamma_v = gamma_(u+v) + gamma_(u-v), folded back into range.  The
+distinguished classes theta_i and delta^r and the constants c_i are closed
+forms or fusion products.  Class values remain for the character table, for
+det(I - tau) and for the independent checks in :mod:`qko.oracles`.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .cyclotomic import Cyclo
 
@@ -173,9 +180,20 @@ _ONE_DIM = {
 }
 
 
+@lru_cache(maxsize=None)
 def irreducible_labels(params: GroupParams) -> tuple[str, ...]:
-    """The ell/4 + 3 irreducible characters: four 1-dimensional, the rest 2-dimensional."""
+    """The ell/4 + 3 irreducible characters: four 1-dimensional, the rest 2-dimensional.
+
+    Position p < 4 holds the 1-dimensional character with value
+    (-1)^((p & 1) a + (p >> 1) b) at xi^a J^b; position 3 + u holds gamma_u.
+    """
     return tuple(_ONE_DIM) + tuple(f"gamma{u}" for u in range(1, params.quarter))
+
+
+@lru_cache(maxsize=None)
+def label_positions(params: GroupParams) -> Mapping[str, int]:
+    """Each irreducible label's position in :func:`irreducible_labels` (read-only)."""
+    return MappingProxyType({label: p for p, label in enumerate(irreducible_labels(params))})
 
 
 def char_dim(label: str) -> int:
@@ -209,7 +227,7 @@ def _char_value(params: GroupParams, label: str, a: int, b: int) -> Cyclo:
 
 def char_value(params: GroupParams, label: str, g: GroupElement) -> Cyclo:
     """Value of the irreducible character at a group element."""
-    if label not in irreducible_labels(params):
+    if label not in label_positions(params):
         raise ValueError(f"unknown irreducible label {label!r} for ell={params.ell}")
     g = quaternion_group(params).element(g.a, g.b)
     return _char_value(params, label, g.a, g.b)
@@ -237,10 +255,10 @@ class VirtualCharacter:
     __slots__ = ("params", "_mults", "_values")
 
     def __init__(self, params: GroupParams, mults: Mapping[str, int]) -> None:
-        labels = irreducible_labels(params)
+        positions = label_positions(params)
         clean = {}
         for label, m in mults.items():
-            if label not in labels:
+            if label not in positions:
                 raise ValueError(f"unknown irreducible label {label!r} for ell={params.ell}")
             if int(m) != m:
                 raise NotVirtualError(f"multiplicity of {label} is not an integer: {m}")
@@ -248,7 +266,7 @@ class VirtualCharacter:
                 clean[label] = int(m)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_mults", tuple(sorted(clean.items(),
-                                                        key=lambda kv: labels.index(kv[0]))))
+                                                        key=lambda kv: positions[kv[0]])))
         object.__setattr__(self, "_values", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -304,6 +322,8 @@ class VirtualCharacter:
         return VirtualCharacter(self.params, {label: -m for label, m in self._mults})
 
     def __mul__(self, other: object) -> VirtualCharacter:
+        if isinstance(other, VirtualCharacter):
+            return fusion_product(self, other)
         if not isinstance(other, int):
             return NotImplemented
         return VirtualCharacter(self.params, {label: other * m for label, m in self._mults})
@@ -336,50 +356,45 @@ class VirtualCharacter:
         return out
 
 
-def _pairing(params: GroupParams, v: Sequence[Cyclo], w: Sequence[Cyclo]) -> Fraction:
-    """(1/ell) * sum_g v(g) conj(w(g)) for class functions given on the class
-    representatives, when that sum is rational.
-
-    Only the constant coefficient is formed: in the power basis the constant
-    coefficient of v * conj(w) is the dot product of the coefficient vectors.
-    Zero coefficients of w are skipped; an irreducible character value has at
-    most two nonzero ones.
-    """
-    total = Fraction(0)
-    for (_, size), x, y in zip(conjugacy_classes(params), v, w):
-        total += size * sum(a * b for a, b in zip(x.coeffs, y.coeffs) if b)
-    return total / params.ell
+@lru_cache(maxsize=None)
+def _folded(params: GroupParams) -> tuple[tuple[int, ...], ...]:
+    """Positions of the constituents of gamma_w for each w mod ell/2, folded by
+    gamma_(-w) = gamma_(w + ell/2) = gamma_w, gamma_0 = rho0 + kappa2 and
+    gamma_(ell/4) = kappa1 + kappa3."""
+    out = []
+    for w in range(params.half):
+        w = min(w, params.half - w)
+        out.append((0, 2) if w == 0 else (1, 3) if w == params.quarter else (3 + w,))
+    return tuple(out)
 
 
-def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> Fraction:
-    """The class-function inner product (1/ell) * sum_g f1(g) conj(f2(g))."""
+def fusion_product(f1: VirtualCharacter, f2: VirtualCharacter) -> VirtualCharacter:
+    """The tensor product of two virtual characters, in integers alone, by the
+    fusion rules of the irreducibles."""
     if f1.params != f2.params:
         raise ValueError("virtual characters live over different groups")
-    return _pairing(f1.params, f1.class_values(), f2.class_values())
-
-
-def decompose(params: GroupParams, values: Sequence[Cyclo | Fraction | int]) -> VirtualCharacter:
-    """Expand a class function, given by its values on the class representatives
-    in the :func:`conjugacy_classes` order, over the irreducible characters.
-
-    Raises :class:`NotVirtualError` if a multiplicity is non-integral or the
-    expansion does not give back the values.
-    """
-    classes = conjugacy_classes(params)
-    if len(values) != len(classes):
-        raise ValueError(f"expected {len(classes)} class values, got {len(values)}")
-    vals = tuple(v if isinstance(v, Cyclo) else Cyclo.rational(v, params.conductor)
-                 for v in values)
-    mults = {}
-    for label in irreducible_labels(params):
-        m = _pairing(params, vals, [char_value(params, label, rep) for rep, _ in classes])
-        if m.denominator != 1:
-            raise NotVirtualError(f"multiplicity of {label} is {m}, not an integer")
-        mults[label] = int(m)
-    result = VirtualCharacter(params, mults)
-    if result.class_values() != vals:
-        raise NotVirtualError(f"{result} does not take the given class values")
-    return result
+    params = f1.params
+    positions = label_positions(params)
+    labels = irreducible_labels(params)
+    folded = _folded(params)
+    out = [0] * len(labels)
+    for l1, m1 in f1._mults:
+        p = positions[l1]
+        for l2, m2 in f2._mults:
+            q = positions[l2]
+            m = m1 * m2
+            if p < 4 and q < 4:
+                # the 1-dimensional characters multiply as the Klein group
+                out[p ^ q] += m
+            elif p < 4 or q < 4:
+                # kappa2 * gamma_u = gamma_u, kappa1 * gamma_u = kappa3 * gamma_u = gamma_(ell/4 - u)
+                one, g = (p, q) if p < 4 else (q, p)
+                out[g if one % 2 == 0 else params.quarter + 6 - g] += m
+            else:
+                # gamma_u * gamma_v = gamma_(u+v) + gamma_(u-v)
+                for r in folded[(p + q - 6) % params.half] + folded[(p - q) % params.half]:
+                    out[r] += m
+    return VirtualCharacter(params, {labels[r]: m for r, m in enumerate(out) if m})
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +405,22 @@ def decompose(params: GroupParams, values: Sequence[Cyclo | Fraction | int]) -> 
 def theta(i: int, params: GroupParams) -> VirtualCharacter:
     """The dimension-zero class function supported on the order-4 elements:
     ell/4 at +-I, -2 on the xi^even*J class (i=1) or the xi^odd*J class (i=2).
+
+    In closed form: those classes have sizes 2 and ell/4, so a real
+    irreducible chi occurs (chi(I) - chi(R))/2 times, R = J for i=1 and xi*J
+    for i=2.  That is (-1)^j for gamma_(2j), 0 for odd gamma_u, and for the
+    1-dimensional characters the difference of their signs at I and at R.
     """
     if i not in (1, 2):
         raise ValueError(f"theta index must be 1 or 2, got {i}")
-    values = []
-    for rep, _ in conjugacy_classes(params):
-        if rep.b == 0 and rep.a == params.eighth:
-            values.append(Fraction(params.quarter))
-        elif rep.b == 1 and rep.a == (0 if i == 1 else 1):
-            values.append(Fraction(-2))
-        else:
-            values.append(Fraction(0))
-    return decompose(params, values)
+    mults = {}
+    for p, label in enumerate(_ONE_DIM):
+        at_i = (-1) ** ((p & 1) * params.eighth)
+        at_r = (-1) ** ((p & 1) * (i - 1) + (p >> 1))
+        mults[label] = (at_i - at_r) // 2
+    for j in range(1, params.eighth):
+        mults[f"gamma{2 * j}"] = (-1) ** j
+    return VirtualCharacter(params, mults)
 
 
 def delta(params: GroupParams) -> VirtualCharacter:
@@ -411,23 +430,29 @@ def delta(params: GroupParams) -> VirtualCharacter:
 
 @lru_cache(maxsize=None)
 def delta_power(r: int, params: GroupParams) -> VirtualCharacter:
-    """The r-th pointwise power of delta's class function, re-expanded (r >= 1)."""
+    """delta^r in the representation ring (r >= 1): r - 1 fusion products."""
     if r < 1:
         raise ValueError(f"delta_power needs r >= 1, got {r}")
-    values = [det_one_minus_gamma(params, 1, rep) ** r
-              for rep, _ in conjugacy_classes(params)]
-    return decompose(params, values)
+    power = delta(params)
+    for _ in range(r - 1):
+        power = fusion_product(power, delta(params))
+    return power
 
 
 @lru_cache(maxsize=None)
 def c_constant(i: int, params: GroupParams) -> Fraction:
-    """(1/ell) * sum over nonidentity g of det(I - gamma1(g))^i; i may be negative."""
-    total = Cyclo.zero(params.conductor)
-    for rep, size in conjugacy_classes(params):
-        if rep == GroupElement(0, 0):
-            continue
-        total = total + size * (det_one_minus_gamma(params, 1, rep) ** i)
-    return total.to_rational() / params.ell
+    """(1/ell) * sum over nonidentity g of det(I - gamma1(g))^i; i may be negative.
+
+    For i >= 1 that is the multiplicity of rho0 in delta^i (delta vanishes at
+    the identity), for i = 0 it is (ell - 1)/ell, and for i < 0 it is the eta
+    vector's rho0 entry for the full group acting by |i| copies of gamma1.
+    """
+    if i > 0:
+        return Fraction(delta_power(i, params).mults.get("rho0", 0))
+    if i == 0:
+        return Fraction(params.ell - 1, params.ell)
+    from .eta import eta_vector  # eta builds on this module
+    return eta_vector(params, Subgroup.FULL, (1,) * -i)[0]
 
 
 def fs_indicator(params: GroupParams, label: str) -> int:
@@ -436,7 +461,7 @@ def fs_indicator(params: GroupParams, label: str) -> int:
     In closed form: every irreducible is self-dual; the 1-dimensional ones and
     the even gamma_u are real, the odd gamma_u quaternionic.
     """
-    if label not in irreducible_labels(params):
+    if label not in label_positions(params):
         raise ValueError(f"unknown irreducible label {label!r} for ell={params.ell}")
     u = _gamma_index(label)
     return -1 if u is not None and u % 2 else 1

@@ -24,7 +24,6 @@ from qko.groups import (
     conjugacy_classes,
     delta_power,
     fs_indicator,
-    inner_product,
     irreducible_labels,
     membership,
     quaternion_group,
@@ -37,6 +36,7 @@ from qko.ktheory import (
     ksp_group,
     ksp_order_formula,
 )
+from qko.oracles import inner_product
 from qko.verify import brute_force_span
 
 ELLS = (8, 16, 32)

@@ -196,6 +196,32 @@ def test_out_of_range_indices_are_usage_errors(capsys):
     assert run_cli(capsys, "verify", "--ell", "8", "--max-nu", "1")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("chartable", "--ell", "1024"),
+    ("ksp", "--ell", "8192", "--nu", "2"),
+    ("ksp", "--ell", "8", "--nu", "17"),
+    ("ko", "--ell", "8192", "--k", "1"),
+    ("ko", "--ell", "8", "--k", "16"),
+    ("eta", "--ell", "8192", "--nu", "2", "--sigma", "Theta1"),
+    ("eta", "--ell", "8", "--nu", "17", "--sigma", "Theta1"),
+    ("verify", "--ell", "8,256"),
+    ("verify", "--ell", "8", "--max-nu", "17"),
+    ("verify", "--ell", "8", "--max-k", "16"),
+])
+def test_oversized_input_exits_2_before_any_work(argv, capsys, monkeypatch):
+    from qko import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on an oversized input")
+
+    for name in ("quaternion_group", "conjugacy_classes", "ksp_group", "ko_group", "eta_pair",
+                 "theta", "delta_power", "run_verification"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "up to" in err or "must be in" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qko", "ksp", "--ell", "8", "--nu", "2",

@@ -173,6 +173,11 @@ def test_conjugation():
     a = Cyclo(8, [1, 2, 0, -1])
     b = Cyclo(8, [0, 1, 1, 1])
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    # conjugation is zeta -> zeta^(-1); every odd t gives an automorphism
+    for t in (1, 3, 5, 7, -3, 11):
+        assert z.galois(t) == z ** (t % 8)
+        assert (a * b).galois(t) == a.galois(t) * b.galois(t)
+        assert (a + b).galois(t) == a.galois(t) + b.galois(t)
 
 
 def test_add_sub_roundtrip():

@@ -17,13 +17,11 @@ from qko.groups import (
     char_dim,
     char_value,
     conjugacy_classes,
-    decompose,
     delta,
     delta_power,
     det_I_minus,
     det_one_minus_gamma,
     fs_indicator,
-    inner_product,
     irreducible_labels,
     is_fixed_point_free,
     membership,
@@ -31,7 +29,7 @@ from qko.groups import (
     standard_fpf,
     theta,
 )
-from qko.verify import gamma_matrix
+from qko.oracles import decompose, gamma_matrix, inner_product
 
 P8 = GroupParams(8)
 P16 = GroupParams(16)

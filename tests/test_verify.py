@@ -2,7 +2,7 @@
 
 import pytest
 
-from qko import verify
+from qko import oracles, verify
 from qko.cyclotomic import NotRationalError
 from qko.groups import GroupParams
 
@@ -10,15 +10,16 @@ P8 = GroupParams(8)
 
 
 def _eta_pair_failing_on_nu3(monkeypatch, exc):
-    # with max_nu = 2 only the rationality check uses the nu = 3 space form
-    real = verify.eta_pair
+    # with max_nu = 2 only the rationality check uses the nu = 3 space form;
+    # it evaluates the class sum of the oracle
+    real = oracles.eta_pair
 
     def fake(space, sigma, bundle=None):
         if space.nu == 3:
             raise exc
         return real(space, sigma, bundle)
 
-    monkeypatch.setattr(verify, "eta_pair", fake)
+    monkeypatch.setattr(oracles, "eta_pair", fake)
 
 
 def test_rationality_check_reports_irrational_sums(monkeypatch):
