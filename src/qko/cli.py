@@ -41,10 +41,10 @@ from .verify import run_verification
 SCHEMA = "qko/1"
 
 # The largest inputs each command accepts; past them it exits 2 before any
-# group is built.  The ksp / ko / eta cost grows 2-3x for each doubling of
-# ell, the character table and verify's class-value oracles grow with its
-# square.  At these limits each command ran in under 10 s and 160 MB on one
-# CPU of a 2.1 GHz Xeon.
+# group is built.  Per doubling of ell, ksp / ko / eta cost 2-3x more, the
+# character table ((ell/4 + 3)^2 values) about 5x and verify's class-value
+# oracles about 4x.  On one CPU of a 2.1 GHz Xeon, chartable --ell 512
+# took 0.8 s and 24 MB, and each command at its limit under 6 s and 30 MB.
 MAX_ELL = {"chartable": 512, "ksp": 4096, "ko": 4096, "eta": 4096, "verify": 128}
 MAX_NU = 16  # nu of ksp / eta and verify's --max-nu; k and --max-k stop at MAX_NU - 1
 
@@ -101,8 +101,7 @@ def parse_character(params: GroupParams, text: str) -> VirtualCharacter:
             term = theta(2, params)
         elif atom.startswith("Delta"):
             power = int(match.group("power") or 1)
-            if power < 1:
-                raise UsageError("Delta powers must be >= 1")
+            _bounded("a Delta power", power, 1, MAX_NU)
             term = delta_power(power, params)
         elif atom.startswith("gamma"):
             u = int(atom.replace("gamma", "").lstrip("_"))
@@ -279,6 +278,8 @@ def cmd_verify(args) -> tuple[dict, str, int]:
         raise UsageError("--ell list is empty")
     for ell in ells:
         _params(ell, "verify")
+        if ells.count(ell) > 1:
+            raise UsageError(f"--ell lists the order {ell} more than once")
     _bounded("--max-nu", args.max_nu, 2, MAX_NU)
     _bounded("--max-k", args.max_k, 1, MAX_NU - 1)
     checks = run_verification(ells, args.max_nu, args.max_k)

@@ -165,7 +165,7 @@ class Cyclo:
 
     def __pow__(self, exponent: int) -> Cyclo:
         if exponent < 0:
-            return self.inverse() ** (-exponent)
+            raise ValueError(f"exponent must be >= 0, got {exponent}; use inverse()")
         result = Cyclo.one(self.conductor)
         base = self
         e = exponent

@@ -16,7 +16,8 @@ their class values: the 1-dimensional characters form a Klein group, a
 gamma_u * gamma_v = gamma_(u+v) + gamma_(u-v), folded back into range.  The
 distinguished classes theta_i and delta^r and the constants c_i are closed
 forms or fusion products.  Class values remain for the character table, for
-det(I - tau) and for the independent checks in :mod:`qko.oracles`.
+det(I - tau) and for the independent checks in :mod:`qko.oracles`, each
+value of gamma_u written straight from its two roots of unity.
 """
 
 from __future__ import annotations
@@ -178,6 +179,7 @@ _ONE_DIM = {
     "kappa2": (1, -1),
     "kappa3": (-1, -1),
 }
+_ZERO = Fraction(0)  # every gamma_trace starts from a list of this one zero
 
 
 @lru_cache(maxsize=None)
@@ -207,30 +209,26 @@ def _gamma_index(label: str) -> int | None:
 
 
 def gamma_trace(params: GroupParams, u: int, g: GroupElement) -> Cyclo:
-    """Trace of the 2-dimensional representation indexed by u (any integer u)."""
-    group = quaternion_group(params)
-    g = group.element(g.a, g.b)
-    if g.b:
-        return Cyclo.zero(params.conductor)
-    return (Cyclo.root_of_unity(params.conductor, u * g.a)
-            + Cyclo.root_of_unity(params.conductor, -u * g.a))
-
-
-@lru_cache(maxsize=None)
-def _char_value(params: GroupParams, label: str, a: int, b: int) -> Cyclo:
-    u = _gamma_index(label)
-    if u is not None:
-        return gamma_trace(params, u, GroupElement(a, b))
-    sx, sj = _ONE_DIM[label]
-    return Cyclo.rational(sx ** (a % 2) * sj ** b, params.conductor)
+    """Trace of the 2-dimensional representation indexed by u (any integer u):
+    zeta^(ua) + zeta^(-ua) at xi^a, 0 at xi^a J, each root put in the basis by
+    zeta^(m/2) = -1."""
+    m, n = params.conductor, params.conductor // 2
+    coeffs = [_ZERO] * n
+    if g.b % 2 == 0:
+        for e in (u * g.a % m, -u * g.a % m):
+            coeffs[e % n] += 1 if e < n else -1
+    return Cyclo(m, coeffs)
 
 
 def char_value(params: GroupParams, label: str, g: GroupElement) -> Cyclo:
     """Value of the irreducible character at a group element."""
     if label not in label_positions(params):
         raise ValueError(f"unknown irreducible label {label!r} for ell={params.ell}")
-    g = quaternion_group(params).element(g.a, g.b)
-    return _char_value(params, label, g.a, g.b)
+    u = _gamma_index(label)
+    if u is not None:
+        return gamma_trace(params, u, g)
+    sx, sj = _ONE_DIM[label]
+    return Cyclo.rational(sx ** (g.a % 2) * sj ** (g.b % 2), params.conductor)
 
 
 def det_one_minus_gamma(params: GroupParams, u: int, g: GroupElement) -> Cyclo:

@@ -175,6 +175,19 @@ def test_verify_bad_ell(capsys):
     assert code == 2
 
 
+def test_verify_rejects_a_repeated_order(capsys, monkeypatch):
+    from qko import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("verification started on a repeated order")
+
+    monkeypatch.setattr(cli, "run_verification", no_work)
+    for ell_list in ("8,8,8", "8,16,8"):
+        code, out, err = run_cli(capsys, "verify", "--ell", ell_list)
+        assert code == 2 and out == ""
+        assert "order 8 more than once" in err
+
+
 def test_json_round_trip_is_byte_identical(capsys):
     for argv in (("ksp", "--ell", "8", "--nu", "2"),
                  ("ko", "--ell", "8", "--k", "1"),
@@ -204,6 +217,7 @@ def test_out_of_range_indices_are_usage_errors(capsys):
     ("ko", "--ell", "8", "--k", "16"),
     ("eta", "--ell", "8192", "--nu", "2", "--sigma", "Theta1"),
     ("eta", "--ell", "8", "--nu", "17", "--sigma", "Theta1"),
+    ("eta", "--ell", "8", "--nu", "2", "--sigma", "Delta^17"),
     ("verify", "--ell", "8,256"),
     ("verify", "--ell", "8", "--max-nu", "17"),
     ("verify", "--ell", "8", "--max-k", "16"),

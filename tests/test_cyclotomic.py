@@ -148,6 +148,14 @@ def test_zero_inverse_raises():
         Cyclo.zero(8).inverse()
 
 
+def test_negative_power_raises():
+    z = Cyclo.root_of_unity(8)
+    assert z ** 0 == Cyclo.one(8)
+    for exponent in (-1, -8):
+        with pytest.raises(ValueError, match="exponent"):
+            z ** exponent
+
+
 def test_to_rational():
     assert Cyclo.rational(Fraction(7, 4), 8).to_rational() == Fraction(7, 4)
     with pytest.raises(NotRationalError):

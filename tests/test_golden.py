@@ -6,6 +6,7 @@ means the program changed its output, and the fix belongs in the program,
 not in the file.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,12 @@ def test_json_report_matches_golden(argv, capsys):
 
 def test_every_golden_file_is_a_case():
     assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(map(golden_name, CASES))
+
+
+def test_chartable_512_matches_pinned_sha256(capsys):
+    """No golden file holds this size: the digest pins the output as it was
+    when gamma_trace still added two dense roots of unity."""
+    assert main(["chartable", "--ell", "512", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "7b80a9daac6fcd3d572533bf8d1b1b039c9e533f0aa30b2f7883dabdc1ef0422"

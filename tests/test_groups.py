@@ -22,6 +22,7 @@ from qko.groups import (
     det_I_minus,
     det_one_minus_gamma,
     fs_indicator,
+    gamma_trace,
     irreducible_labels,
     is_fixed_point_free,
     membership,
@@ -144,6 +145,21 @@ def test_character_values():
     # ell=16: gamma1(xi) = z8 + z8^7
     expected = Cyclo.root_of_unity(8) + Cyclo.root_of_unity(8, 7)
     assert char_value(P16, "gamma1", GroupElement(1, 0)) == expected
+
+
+@pytest.mark.parametrize("ell", [8, 16, 32, 64, pytest.param(128, marks=pytest.mark.slow)])
+def test_gamma_trace_is_the_sum_of_its_two_roots_of_unity(ell):
+    params = GroupParams(ell)
+    m = params.conductor
+    for u in range(-ell, ell + 1):
+        for g in quaternion_group(params).elements:
+            value = gamma_trace(params, u, g)
+            if g.b:
+                expected = Cyclo.zero(m)
+            else:
+                expected = Cyclo.root_of_unity(m, u * g.a) + Cyclo.root_of_unity(m, -u * g.a)
+            assert value == expected, (u, g)
+            assert sum(1 for c in value.coeffs if c) <= 2
 
 
 def test_full_character_table_order_8():
