@@ -110,9 +110,6 @@ class EtaValue:
     def __sub__(self, other: EtaValue) -> EtaValue:
         return EtaValue.from_exact(self.exact - other.exact)
 
-    def __add__(self, other: EtaValue) -> EtaValue:
-        return EtaValue.from_exact(self.exact + other.exact)
-
 
 @lru_cache(maxsize=None)
 def _factor_inverse(params: GroupParams, order: int) -> Cyclo:

@@ -15,9 +15,10 @@ their class values: the 1-dimensional characters form a Klein group, a
 1-dimensional character fixes or reflects the index u of gamma_u, and
 gamma_u * gamma_v = gamma_(u+v) + gamma_(u-v), folded back into range.  The
 distinguished classes theta_i and delta^r and the constants c_i are closed
-forms or fusion products.  Class values remain for the character table, for
-det(I - tau) and for the independent checks in :mod:`qko.oracles`, each
-value of gamma_u written straight from its two roots of unity.
+forms or fusion products.  A virtual character is its multiplicities alone:
+only :mod:`qko.oracles` evaluates one at the classes.  Single character
+values remain for the character table and det(I - tau), each value of
+gamma_u written straight from its two roots of unity.
 """
 
 from __future__ import annotations
@@ -246,11 +247,11 @@ def det_one_minus_gamma(params: GroupParams, u: int, g: GroupElement) -> Cyclo:
 class VirtualCharacter:
     """An integer combination of irreducible characters, used as a class function.
 
-    The multiplicity vector is the canonical exact form; the value vector on
-    conjugacy-class representatives is derived (and cached) from it.
+    It is its group and its nonzero integer multiplicities in label order,
+    immutable and hashable; products go by the fusion rules.
     """
 
-    __slots__ = ("params", "_mults", "_values")
+    __slots__ = ("params", "_mults")
 
     def __init__(self, params: GroupParams, mults: Mapping[str, int]) -> None:
         positions = label_positions(params)
@@ -265,7 +266,6 @@ class VirtualCharacter:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_mults", tuple(sorted(clean.items(),
                                                         key=lambda kv: positions[kv[0]])))
-        object.__setattr__(self, "_values", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("VirtualCharacter values are immutable")
@@ -285,22 +285,6 @@ class VirtualCharacter:
     @property
     def dimension(self) -> int:
         return sum(m * char_dim(label) for label, m in self._mults)
-
-    def class_values(self) -> tuple[Cyclo, ...]:
-        cached = self._values
-        if cached is None:
-            reps = conjugacy_classes(self.params)
-            zero = Cyclo.zero(self.params.conductor)
-            cached = tuple(
-                sum((m * char_value(self.params, label, rep) for label, m in self._mults),
-                    zero)
-                for rep, _ in reps)
-            object.__setattr__(self, "_values", cached)
-        return cached
-
-    def value(self, g: GroupElement) -> Cyclo:
-        idx = quaternion_group(self.params).class_index(g)
-        return self.class_values()[idx]
 
     def _binary(self, other: VirtualCharacter, sign: int) -> VirtualCharacter:
         if self.params != other.params:

@@ -110,7 +110,6 @@ class EtaMatrix:
         return quotient_group(self.rows())
 
 
-@lru_cache(maxsize=None)
 def ksp_eta_matrix(nu: int, params: GroupParams) -> EtaMatrix:
     """The full (nu+1)x(nu+1) pairing matrix for KSp of the 4*nu-1 space form."""
     if nu < 2:
@@ -124,7 +123,6 @@ def ksp_eta_matrix(nu: int, params: GroupParams) -> EtaMatrix:
     return EtaMatrix(tuple(lbl for lbl, _ in gens), tuple(lbl for lbl, _ in twists), entries)
 
 
-@lru_cache(maxsize=None)
 def ko_eta_matrix(k: int, params: GroupParams) -> EtaMatrix:
     """The full (k+2)x(k+2) pairing matrix for ko in degree 4k-1, from manifold
     generators: two lens-space differences, then products of the top space form

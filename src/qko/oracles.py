@@ -2,10 +2,11 @@
 
 Every function here works on character values at conjugacy-class
 representatives, in exact cyclotomic arithmetic, the way the definitions
-read: class functions are paired by their class sums, theta and the powers
-of delta are their defining values re-expanded over the irreducibles, and an
-eta invariant is the sum over the classes of the subgroup with one inverse
-determinant per class.  The engine in :mod:`qko.groups` / :mod:`qko.eta`
+read.  :func:`class_values` is the one place a virtual character is
+evaluated at the classes.  Class functions are paired by their class sums,
+theta and the powers of delta are their defining values re-expanded over
+the irreducibles, and an eta invariant is the sum over the classes of the
+subgroup with one inverse determinant per class.  The engine in :mod:`qko.groups` / :mod:`qko.eta`
 evaluates the same quantities in the representation ring instead, so the two
 share no arithmetic path; ``verify`` and the tests compare them.  Only they
 import this module: no ``ksp`` / ``ko`` / ``eta`` computation calls it.
@@ -51,8 +52,17 @@ def gamma_matrix(params: GroupParams, u: int, g: GroupElement) -> tuple[tuple[Cy
 
 
 # ---------------------------------------------------------------------------
-# Class-function pairing
+# Class values and the class-function pairing
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def class_values(f: VirtualCharacter) -> tuple[Cyclo, ...]:
+    """sum over chi of m_chi * chi(rep) at each class representative, in the
+    :func:`~qko.groups.conjugacy_classes` order."""
+    zero = Cyclo.zero(f.params.conductor)
+    return tuple(sum((m * char_value(f.params, label, rep) for label, m in f.mults.items()), zero)
+                 for rep, _ in conjugacy_classes(f.params))
+
 
 def _pairing(params: GroupParams, v: Sequence[Cyclo], w: Sequence[Cyclo]) -> Fraction:
     """(1/ell) * sum_g v(g) conj(w(g)) for class functions given on the class
@@ -73,7 +83,7 @@ def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> Fraction:
     """The class-function inner product (1/ell) * sum_g f1(g) conj(f2(g))."""
     if f1.params != f2.params:
         raise ValueError("virtual characters live over different groups")
-    return _pairing(f1.params, f1.class_values(), f2.class_values())
+    return _pairing(f1.params, class_values(f1), class_values(f2))
 
 
 def decompose(params: GroupParams, values: Sequence[Cyclo | Fraction | int]) -> VirtualCharacter:
@@ -95,7 +105,7 @@ def decompose(params: GroupParams, values: Sequence[Cyclo | Fraction | int]) -> 
             raise NotVirtualError(f"multiplicity of {label} is {m}, not an integer")
         mults[label] = int(m)
     result = VirtualCharacter(params, mults)
-    if result.class_values() != vals:
+    if class_values(result) != vals:
         raise NotVirtualError(f"{result} does not take the given class values")
     return result
 
@@ -161,24 +171,24 @@ def c_constant(i: int, params: GroupParams) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _class_inverse_dets(params: GroupParams, subgroup: Subgroup, summands: tuple[int, ...]
-                        ) -> tuple[tuple[GroupElement, int, Cyclo], ...]:
-    # (representative, weight, det(I - tau)^(-1)) for each class that meets the
+                        ) -> tuple[tuple[int, int, Cyclo], ...]:
+    # (class index, weight, det(I - tau)^(-1)) for each class that meets the
     # nonidentity part of the subgroup, weighted by the size of the meeting
     group = quaternion_group(params)
     tau = FpfRep(params, summands)
     weights = Counter(group.class_index(h) for h in group.subgroup_elements(subgroup)
                       if h != group.identity)
-    return tuple((group.classes[idx][0], weight, det_I_minus(tau, group.classes[idx][0]).inverse())
+    return tuple((idx, weight, det_I_minus(tau, group.classes[idx][0]).inverse())
                  for idx, weight in sorted(weights.items()))
 
 
-def _class_sum(space: SpaceForm, values) -> Fraction:
-    # (1/|H|) * sum over the nonidentity h of values(rep) * det(I - tau(h))^(-1)
+def _class_sum(space: SpaceForm, values: Sequence[Cyclo]) -> Fraction:
+    # (1/|H|) * sum over the nonidentity h of values[class of h] * det(I - tau(h))^(-1)
     order = len(quaternion_group(space.params).subgroup_elements(space.subgroup))
     total = Cyclo.zero(space.params.conductor)
-    for rep, weight, det_inv in _class_inverse_dets(space.params, space.subgroup,
+    for idx, weight, det_inv in _class_inverse_dets(space.params, space.subgroup,
                                                     space.tau.summands):
-        total = total + weight * (values(rep) * det_inv)
+        total = total + weight * (values[idx] * det_inv)
     return total.to_rational() / order
 
 
@@ -187,7 +197,7 @@ def eta_vector(params: GroupParams, subgroup: Subgroup,
     """e[chi] = (1/|H|) * sum over h in H - {1} of chi(h) / det(I - tau(h)) for
     each irreducible chi, as a class sum."""
     space = SpaceForm(params, subgroup, FpfRep(params, summands))
-    return tuple(_class_sum(space, lambda rep, label=label: char_value(params, label, rep))
+    return tuple(_class_sum(space, class_values(VirtualCharacter.irreducible(params, label)))
                  for label in irreducible_labels(params))
 
 
@@ -200,8 +210,8 @@ def eta_pair(space: SpaceForm, sigma: VirtualCharacter,
         raise ValueError("characters live over a different group")
     if sigma.dimension != 0:
         raise NotReducedError(f"twisting character has dimension {sigma.dimension}, not 0")
-    if bundle is None:
-        exact = _class_sum(space, sigma.value)
-    else:
-        exact = _class_sum(space, lambda rep: sigma.value(rep) * bundle.value(rep))
+    values = class_values(sigma)
+    if bundle is not None:
+        values = tuple(x * y for x, y in zip(values, class_values(bundle)))
+    exact = _class_sum(space, values)
     return EtaValue.from_exact(exact * space.a_roof_factor)

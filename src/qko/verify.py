@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import oracles
 from .abelian import (
@@ -130,10 +130,10 @@ def _theta_and_c_checks(params: GroupParams) -> list[Check]:
     # the explicit matrix agree
     one = Cyclo.one(params.conductor)
     bad = []
-    for rep, _ in conjugacy_classes(params):
+    for (rep, _), value in zip(conjugacy_classes(params), oracles.class_values(delta(params))):
         (m00, m01), (m10, m11) = oracles.gamma_matrix(params, 1, rep)
         explicit = (one - m00) * (one - m11) - m01 * m10
-        if not delta(params).value(rep) == det_one_minus_gamma(params, 1, rep) == explicit:
+        if not value == det_one_minus_gamma(params, 1, rep) == explicit:
             bad.append(str(rep))
     out.append(_check_all(f"delta/det-match/ell{ell}", bad, len(conjugacy_classes(params))))
     return out
@@ -255,21 +255,20 @@ def _matrix_checks(params: GroupParams, max_nu: int, max_k: int) -> list[Check]:
 def brute_force_span(generators: list[tuple[Fraction, ...]]) -> AbelianGroup:
     """Independent oracle: enumerate the subgroup of (Q/2Z)^n generated by the
     vectors (closure under addition), then read the structure off the sizes of
-    the p^k-torsion layers."""
+    the p^k-torsion layers.  Scaled by the common denominator d of the
+    entries, the vectors are integer vectors mod 2d."""
     if not generators:
         return AbelianGroup.trivial()
-    n = len(generators[0])
-    gens = [tuple(Fraction(x) % 2 for x in g) for g in generators]
+    d = lcm(*(Fraction(x).denominator for g in generators for x in g))
+    modulus = 2 * d
+    gens = [tuple(int(Fraction(x) * d) % modulus for x in g) for g in generators]
 
-    def add(u, v):
-        return tuple((a + b) % 2 for a, b in zip(u, v))
-
-    elements = {tuple(Fraction(0) for _ in range(n))}
+    elements = {(0,) * len(gens[0])}
     frontier = list(elements)
     while frontier:
         base = frontier.pop()
         for g in gens:
-            nxt = add(base, g)
+            nxt = tuple((a + b) % modulus for a, b in zip(base, g))
             if nxt not in elements:
                 elements.add(nxt)
                 frontier.append(nxt)
@@ -280,14 +279,14 @@ def brute_force_span(generators: list[tuple[Fraction, ...]]) -> AbelianGroup:
     p = 2
     while remaining > 1:
         if remaining % p:
-            p += 1 if p == 2 else 2
+            p += 1
             continue
-        exponents = []
+        counts = []  # counts[k-1] = #summands with order >= p^k
         k = 1
         prev_count = 1
         while True:
             count = sum(1 for e in elements
-                        if all((p ** k * x) % 2 == 0 for x in e))
+                        if all(p ** k * x % modulus == 0 for x in e))
             layer = count // prev_count
             if layer == 1:
                 break
@@ -296,16 +295,15 @@ def brute_force_span(generators: list[tuple[Fraction, ...]]) -> AbelianGroup:
             while layer > 1:
                 layer //= p
                 summands += 1
-            exponents.append(summands)
+            counts.append(summands)
             prev_count = count
             k += 1
-        counts = exponents  # counts[k-1] = #summands with order >= p^k
         for depth, c in enumerate(counts, start=1):
             following = counts[depth] if depth < len(counts) else 0
             factors.extend([p ** depth] * (c - following))
         while remaining % p == 0:
             remaining //= p
-        p += 1 if p == 2 else 2
+        p += 1
     return AbelianGroup.from_cyclic_orders(factors)
 
 
@@ -356,10 +354,7 @@ def _arith_checks() -> list[Check]:
             denominators += [q1, q2]
             gens.append((Fraction(rng.randint(0, 2 * q1 - 1), q1),
                          Fraction(rng.randint(0, 2 * q2 - 1), q2)))
-        joint = 1
-        for q in denominators:
-            joint = joint * q // gcd(joint, q)
-        if joint > 24:  # keep the enumeration oracle at desk scale
+        if lcm(*denominators) > 24:  # keep the enumeration oracle at desk scale
             continue
         if quotient_group(gens) != brute_force_span(gens):
             bad.append(str(gens))

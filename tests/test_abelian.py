@@ -137,6 +137,17 @@ def test_brute_force_oracle_sanity():
     assert brute_force_span([(Fraction(1, 2), Fraction(0)),
                              (Fraction(0), Fraction(1, 2))]) == AbelianGroup((4, 4))
     assert brute_force_span([(Fraction(1),)]) == AbelianGroup((2,))
+    # n = 3 and the primes 3, 5: Z6 + Z10 + Z8
+    assert brute_force_span([(Fraction(1, 3), Fraction(0), Fraction(0)),
+                             (Fraction(0), Fraction(1, 5), Fraction(0)),
+                             (Fraction(0), Fraction(0), Fraction(1, 4))]) \
+        == AbelianGroup((2, 2, 120))
+    # Z3 + Z4
+    assert brute_force_span([(Fraction(2, 3),), (Fraction(1, 2),)]) == AbelianGroup((12,))
+    # the prime 7: orders 28 and 12, meeting in (0, 1, 0)
+    assert brute_force_span([(Fraction(1, 7), Fraction(1, 2), Fraction(0)),
+                             (Fraction(0), Fraction(1, 2), Fraction(1, 3))]) \
+        == AbelianGroup((2, 84))
 
 
 def test_quotient_matches_brute_force_n1():
