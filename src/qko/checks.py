@@ -1,12 +1,11 @@
-"""The named pass/fail row that ``ktheory`` asserts and ``verify`` reports."""
+"""The named pass/fail row, a named tuple, that ``ktheory`` asserts and ``verify`` reports."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     expected: str

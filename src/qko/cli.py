@@ -14,7 +14,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from .abelian import AbelianGroup
@@ -47,6 +46,7 @@ SCHEMA = "qko/1"
 # took 0.8 s and 24 MB, and each command at its limit under 6 s and 30 MB.
 MAX_ELL = {"chartable": 512, "ksp": 4096, "ko": 4096, "eta": 4096, "verify": 128}
 MAX_NU = 16  # nu of ksp / eta and verify's --max-nu; k and --max-k stop at MAX_NU - 1
+MAX_DIGITS = 100  # per number in a character expression; eta stays cheap and printable
 
 
 class UsageError(Exception):
@@ -85,6 +85,8 @@ _TERM_RE = re.compile(
 
 def parse_character(params: GroupParams, text: str) -> VirtualCharacter:
     """Parse an integer combination of the twist tokens, e.g. ``2*Theta1 - Delta^3``."""
+    if any(len(run) > MAX_DIGITS for run in re.findall(r"\d+", text)):
+        raise UsageError(f"a number in the expression has more than {MAX_DIGITS} digits")
     result = VirtualCharacter.zero(params)
     pos = 0
     first = True
@@ -206,7 +208,7 @@ def _kgroup_report(report: KGroupReport, command: str, params_json: dict) -> tup
     }
     checks = _kgroup_checks(report)
     json_report = {"schema": SCHEMA, "command": command, "params": params_json,
-                   "results": results, "checks": [asdict(c) for c in checks]}
+                   "results": results, "checks": [c._asdict() for c in checks]}
 
     title = ("KSp of the quaternion spherical space form of dimension "
              f"{4 * report.index - 1} (ell={report.params.ell}, nu={report.index})"
@@ -289,7 +291,7 @@ def cmd_verify(args) -> tuple[dict, str, int]:
     report = {"schema": SCHEMA, "command": "verify",
               "params": {"ell": ells, "max_nu": args.max_nu, "max_k": args.max_k},
               "results": results,
-              "checks": [asdict(c) for c in checks]}
+              "checks": [c._asdict() for c in checks]}
     lines = [c.line() for c in checks]
     lines.append(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
     return report, "\n".join(lines) + "\n", 1 if failed else 0

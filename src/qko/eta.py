@@ -29,12 +29,11 @@ by construction.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclotomic import Cyclo, Mod2Z
 from .groups import (
@@ -55,25 +54,25 @@ class NotReducedError(ValueError):
     """Raised when the twisting character does not have dimension zero."""
 
 
-@dataclass(frozen=True)
-class SpaceForm:
+class SpaceForm(namedtuple("SpaceForm", "params subgroup tau z_factor")):
     """A quotient of the sphere by a free action, optionally crossed with Z^(4j).
 
-    The subgroup field picks the full quaternion group or one of its order-4
-    cyclic subgroups; the acting representation is always the restriction of a
-    fixed point free representation of the full group, which stays free.
+    A named tuple checked when built.  The subgroup field picks the full
+    quaternion group or one of its order-4 cyclic subgroups; the acting
+    representation is always the restriction of a fixed point free
+    representation of the full group, which stays free.
     """
 
-    params: GroupParams
-    subgroup: Subgroup
-    tau: FpfRep
-    z_factor: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.tau.params != self.params:
+    def __new__(cls, params: GroupParams, subgroup: Subgroup, tau: FpfRep,
+                z_factor: int = 0) -> SpaceForm:
+        if tau.params != params:
             raise ValueError("tau is defined over a different group")
-        if self.z_factor < 0:
-            raise ValueError(f"z_factor must be >= 0, got {self.z_factor}")
+        if z_factor < 0:
+            raise ValueError(f"z_factor must be >= 0, got {z_factor}")
+        return super().__new__(cls, params, subgroup, tau, z_factor)
 
     @property
     def nu(self) -> int:
@@ -96,12 +95,12 @@ def lens_space(params: GroupParams, subgroup: Subgroup, k: int, z_factor: int = 
     return SpaceForm(params, subgroup, standard_fpf(params, k), z_factor)
 
 
-@dataclass(frozen=True)
-class EtaValue:
-    """An eta invariant: the exact rational kept for diagnostics, plus its residue mod 2Z."""
+class EtaValue(NamedTuple):
+    """An eta invariant, a named tuple: the exact rational for diagnostics, its residue mod 2Z."""
 
     exact: Fraction
     residue: Mod2Z
+    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     @classmethod
     def from_exact(cls, exact: Fraction) -> EtaValue:

@@ -23,7 +23,7 @@ gamma_u written straight from its two roots of unity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -41,15 +41,16 @@ class NotVirtualError(ArithmeticError):
     """Raised when a class function has a non-integral irreducible multiplicity."""
 
 
-@dataclass(frozen=True)
-class GroupParams:
-    """The order ell = 2^j >= 8 of the quaternion group under study."""
+class GroupParams(namedtuple("GroupParams", "ell")):
+    """The order ell = 2^j >= 8 of the quaternion group, a named tuple checked when built."""
 
-    ell: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.ell < 8 or self.ell & (self.ell - 1):
-            raise InvalidParamsError(f"group order must be a power of two >= 8, got {self.ell}")
+    def __new__(cls, ell: int) -> GroupParams:
+        if ell < 8 or ell & (ell - 1):
+            raise InvalidParamsError(f"group order must be a power of two >= 8, got {ell}")
+        return super().__new__(cls, ell)
 
     @property
     def half(self) -> int:
@@ -481,21 +482,21 @@ def membership(sigma: VirtualCharacter, ring: str) -> bool:
 # Fixed point free representations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FpfRep:
-    """A direct sum of 2-dimensional representations indexed by odd integers,
-    acting freely on the unit sphere in C^(2*nu)."""
+class FpfRep(namedtuple("FpfRep", "params summands")):
+    """A direct sum of 2-dimensional representations indexed by odd integers, acting
+    freely on the unit sphere in C^(2*nu): a named tuple checked when built."""
 
-    params: GroupParams
-    summands: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "summands", tuple(int(s) for s in self.summands))
-        if not self.summands:
+    def __new__(cls, params: GroupParams, summands: Iterable[int]) -> FpfRep:
+        summands = tuple(int(s) for s in summands)
+        if not summands:
             raise ValueError("a fixed point free representation needs at least one summand")
-        for s in self.summands:
+        for s in summands:
             if s % 2 == 0:
                 raise ValueError(f"summand index {s} is even, so the action has fixed points")
+        return super().__new__(cls, params, summands)
 
     @property
     def nu(self) -> int:

@@ -23,9 +23,9 @@ schedule at nu = k+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .abelian import AbelianGroup, quotient_group
 from .checks import Check, _check, _check_all
@@ -84,9 +84,8 @@ def ksp_generators(nu: int, params: GroupParams) -> tuple[tuple[str, VirtualChar
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EtaMatrix:
-    """A matrix of eta invariants in Q/2Z: generator rows against twist columns."""
+class EtaMatrix(NamedTuple):
+    """A named tuple: a matrix of eta invariants in Q/2Z, generator rows against twist columns."""
 
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
@@ -209,14 +208,13 @@ def _form_check(name: str, form: str, mismatches: list[str]) -> Check:
     return Check(name, not mismatches, form, "; ".join(mismatches) or form)
 
 
-@dataclass(frozen=True)
-class KGroupReport:
-    """A computed K-group: its structure, the per-block structures, and the
-    matrices the computation went through."""
+class KGroupReport(NamedTuple):
+    """A computed K-group, as a named tuple: its structure, the per-block
+    structures, and the matrices the computation went through."""
 
     kind: str                 # "ksp" or "ko"
     params: GroupParams
-    index: int                # nu for ksp, k for ko
+    index: int                # nu for ksp, k for ko; hides tuple.index
     group: AbelianGroup
     a_block: AbelianGroup
     b_block: AbelianGroup

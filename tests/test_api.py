@@ -1,6 +1,16 @@
-"""The package's public names."""
+"""The package's public names, its records and what importing the CLI loads."""
+
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 import qko
+from qko.eta import EtaValue, quaternion_space
+from qko.groups import FpfRep, GroupParams, InvalidParamsError
+from qko.ktheory import ksp_group, structure_checks
 
 
 def test_public_names_are_the_workflow():
@@ -20,3 +30,37 @@ def test_removed_names_stay_importable_from_their_modules():
     from qko.groups import c_constant, fs_indicator  # noqa: F401
     from qko.oracles import decompose, gamma_matrix, inner_product  # noqa: F401
     from qko.ktheory import ko_order_formula, ksp_order_formula, structure_checks  # noqa: F401
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(qko.__file__).resolve().parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import qko.cli; "
+             "print(*(m in sys.modules for m in ('dataclasses', 'inspect', 'qko.verify')))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", probe, src],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", "False", "True"]
+
+
+def test_records_are_immutable():
+    params = GroupParams(8)
+    report = ksp_group(2, params)
+    fields = [(params, "ell"), (FpfRep(params, (1, 3)), "summands"),
+              (quaternion_space(params, 2), "tau"),
+              (EtaValue.from_exact(Fraction(1, 3)), "exact"), (report.matrix, "entries"),
+              (report, "index"), (structure_checks(report)[0], "passed")]
+    assert len({type(record) for record, _ in fields}) == 7
+    for record, field in fields:
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_replace_on_a_checked_record_runs_its_checks():
+    params = GroupParams(8)
+    with pytest.raises(InvalidParamsError):
+        params._replace(ell=12)
+    with pytest.raises(ValueError, match="is even"):
+        FpfRep(params, (1,))._replace(summands=(2,))
+    with pytest.raises(ValueError, match="z_factor must be >= 0"):
+        quaternion_space(params, 2)._replace(z_factor=-1)
+    assert FpfRep(params, (1,))._replace(summands=[3.0]).summands == (3,)

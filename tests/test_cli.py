@@ -3,7 +3,6 @@
 import json
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -57,7 +56,7 @@ def test_ksp_json(capsys):
 
 
 def test_failing_kgroup_row_reports_expected_and_got():
-    report = replace(ksp_group(2, GroupParams(8)), ahss_bound=7)
+    report = ksp_group(2, GroupParams(8))._replace(ahss_bound=7)
     json_report, text = _kgroup_report(report, "ksp", {"ell": 8, "nu": 2})
     row = json_report["checks"][0]
     assert row == {"name": "ksp/order-vs-bound", "passed": False,
@@ -234,6 +233,26 @@ def test_oversized_input_exits_2_before_any_work(argv, capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "up to" in err or "must be in" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--sigma", "7" * 5000 + "*Theta1"),
+    ("--sigma", "Delta^" + "7" * 5000),
+    ("--sigma", "gamma" + "7" * 5000),
+    # int() reads this coefficient, but the eta value would print too many digits
+    ("--sigma", "rho0 - kappa1", "--bundle", "9" * 4300 + "*Theta2"),
+])
+def test_overlong_number_in_an_expression_exits_2(argv, capsys, monkeypatch):
+    from qko import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on an overlong number")
+
+    for name in ("theta", "delta_power", "eta_pair"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run_cli(capsys, "eta", "--ell", "16", "--nu", "2", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.endswith(" digits\n") and err.count("\n") == 1
 
 
 def test_module_entry_point():

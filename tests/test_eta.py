@@ -232,3 +232,15 @@ def test_space_form_validation():
     assert space.nu == 3
     assert 4 * space.nu - 1 == 11
     assert space.a_roof_factor == 1
+
+
+def test_space_form_rejects_tau_of_another_group():
+    with pytest.raises(ValueError, match="tau is defined over a different group"):
+        SpaceForm(P16, Subgroup.FULL, FpfRep(P8, (1, 1)))
+
+
+def test_eta_value_has_no_tuple_arithmetic():
+    v = EtaValue.from_exact(Fraction(1, 3))
+    for combine in (lambda: v + v, lambda: v * 2, lambda: 2 * v):
+        with pytest.raises(TypeError):
+            combine()
