@@ -3,8 +3,10 @@
 A :class:`Cyclo` stores an element of Q(zeta_m), m a power of two, by its
 coordinates in the power basis {1, zeta, ..., zeta^(m/2 - 1)}.  Because the
 minimal polynomial of zeta over Q is x^(m/2) + 1, that representation is
-unique and equality is coefficient-wise.  All coefficients are
-:class:`fractions.Fraction`; nothing in this module rounds.
+unique.  It is held as ``int`` numerators ``nums`` over one positive ``int``
+``den`` in lowest terms, so equality is numerator-wise and the arithmetic runs
+on integers.  Inputs must be ``int`` or :class:`fractions.Fraction`; nothing in
+this module rounds.
 
 Each value lives in one field: adding, multiplying or comparing values of
 different conductors raises ``ValueError``.  Inversion needs no linear
@@ -14,7 +16,8 @@ algebra: it takes field norms down the 2-power tower to a rational reciprocal.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import compress
+from math import gcd, lcm
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -33,42 +36,49 @@ def _check_conductor(m: int) -> None:
         raise ValueError(f"conductor must be a power of two >= 2, got {m}")
 
 
-def _product(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """a * b modulo x^n + 1, n = len(a) = len(b): a negacyclic convolution.
-
-    It runs on integers over the product of the two common denominators; the
-    factor with fewer nonzero coefficients drives the outer loop.
-    """
+def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a * b modulo x^n + 1, n = len(a) = len(b): a negacyclic convolution of
+    integer vectors.  The factor with fewer nonzero entries drives the outer loop."""
     n = len(a)
-    if sum(1 for x in a if x) > sum(1 for y in b if y):
+    if a.count(0) < b.count(0):
         a, b = b, a
-    da = lcm(*(x.denominator for x in a))
-    db = lcm(*(y.denominator for y in b))
-    ib = [y.numerator * (db // y.denominator) for y in b]
     out = [0] * n
-    for i, x in enumerate(a):
-        if not x:
+    for i, c in enumerate(a):
+        if not c:
             continue
-        c = x.numerator * (da // x.denominator)
-        out[i:] = [o + c * y for o, y in zip(out[i:], ib)]
-        out[:i] = [o - c * y for o, y in zip(out[:i], ib[n - i:])]
-    d = da * db
-    return [Fraction(c, d) for c in out]
+        out[i:] = [o + c * y for o, y in zip(out[i:], b)]
+        out[:i] = [o - c * y for o, y in zip(out[:i], b[n - i:])]
+    return out
 
 
-def _inverse(a: Sequence[Fraction]) -> list[Fraction]:
-    """1 / a modulo x^n + 1 for nonzero a, n = len(a) a power of two.
+def _inverse(a: Sequence[int]) -> tuple[list[int], int]:
+    """1 / a modulo x^n + 1 for a nonzero integer vector a, n = len(a) a power
+    of two, as integer numerators over a positive denominator.
 
     a(x) * a(-x) has only even powers, so it is N(x^2) with N in
-    Q[y]/(y^(n/2) + 1); then 1/a = a(-x) * N^(-1)(x^2).
+    Q[y]/(y^(n/2) + 1); then 1/a = a(-x) * N^(-1)(x^2).  Each level first
+    divides a by its content, so the integers do not grow like den^(2^k).
     """
-    n = len(a)
-    if n == 1:
-        return [1 / a[0]]
+    content = gcd(*a)
+    a = [x // content for x in a]
+    if len(a) == 1:
+        return a, content  # 1 / (content * (+-1))
     flipped = [-c if i & 1 else c for i, c in enumerate(a)]
-    spread = [Fraction(0)] * n
-    spread[::2] = _inverse(_product(a, flipped)[::2])
-    return _product(flipped, spread)
+    nums, den = _inverse(_product(a, flipped)[::2])
+    spread = [0] * len(a)
+    spread[::2] = nums
+    return _product(flipped, spread), den * content
+
+
+def _make(conductor: int, nums: Sequence[int], den: int) -> Cyclo:
+    # the value nums / den (den > 0), put in lowest terms; no checks
+    if den != 1 and (g := gcd(den, *nums)) != 1:
+        nums, den = [x // g for x in nums], den // g
+    value = object.__new__(Cyclo)
+    object.__setattr__(value, "conductor", conductor)
+    object.__setattr__(value, "nums", tuple(nums))
+    object.__setattr__(value, "den", den)
+    return value
 
 
 class Cyclo:
@@ -77,19 +87,27 @@ class Cyclo:
     ``Cyclo(8, [2, -1, 0, -1])`` is 2 - zeta - zeta^3 with zeta = zeta_8.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "nums", "den")
 
-    def __init__(self, conductor: int, coeffs: Sequence[Scalar]) -> None:
+    def __new__(cls, conductor: int, coeffs: Sequence[Scalar]) -> Cyclo:
         _check_conductor(conductor)
         n = conductor // 2
         if len(coeffs) != n:
             raise ValueError(f"conductor {conductor} needs {n} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs",
-                           tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
+        if set(map(type, coeffs)) == {int}:
+            return _make(conductor, coeffs, 1)
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+            raise TypeError(f"coefficients must be int or Fraction, got {set(map(type, coeffs))}")
+        den = lcm(*(c.denominator for c in coeffs))
+        return _make(conductor, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Cyclo values are immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as :class:`~fractions.Fraction` values."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     # -- constructors ------------------------------------------------------
 
@@ -103,8 +121,7 @@ class Cyclo:
 
     @classmethod
     def rational(cls, value: Scalar, conductor: int) -> Cyclo:
-        coeffs = [Fraction(value)] + [Fraction(0)] * (conductor // 2 - 1)
-        return cls(conductor, coeffs)
+        return cls(conductor, [value] + [0] * (conductor // 2 - 1))
 
     @classmethod
     def root_of_unity(cls, conductor: int, power: int = 1) -> Cyclo:
@@ -112,11 +129,8 @@ class Cyclo:
         _check_conductor(conductor)
         n = conductor // 2
         e = power % conductor
-        coeffs = [Fraction(0)] * n
-        if e < n:
-            coeffs[e] = Fraction(1)
-        else:
-            coeffs[e - n] = Fraction(-1)
+        coeffs = [0] * n
+        coeffs[e % n] = 1 if e < n else -1
         return cls(conductor, coeffs)
 
     # -- ring operations ---------------------------------------------------
@@ -134,12 +148,14 @@ class Cyclo:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return Cyclo(self.conductor, [x + y for x, y in zip(self.coeffs, rhs.coeffs)])
+        den = lcm(self.den, rhs.den)
+        fx, fy = den // self.den, den // rhs.den
+        return _make(self.conductor, [x * fx + y * fy for x, y in zip(self.nums, rhs.nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> Cyclo:
-        return Cyclo(self.conductor, [-c for c in self.coeffs])
+        return _make(self.conductor, [-x for x in self.nums], self.den)
 
     def __sub__(self, other: object) -> Cyclo:
         rhs = self._coerce(other)
@@ -155,11 +171,12 @@ class Cyclo:
 
     def __mul__(self, other: object) -> Cyclo:
         if isinstance(other, (int, Fraction)):
-            return Cyclo(self.conductor, [c * other for c in self.coeffs])
+            p, q = other.numerator, other.denominator
+            return _make(self.conductor, [x * p for x in self.nums], self.den * q)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return Cyclo(self.conductor, _product(self.coeffs, rhs.coeffs))
+        return _make(self.conductor, _product(self.nums, rhs.nums), self.den * rhs.den)
 
     __rmul__ = __mul__
 
@@ -180,19 +197,20 @@ class Cyclo:
         """Multiplicative inverse, by the field-norm recursion of :func:`_inverse`."""
         if self.is_zero():
             raise ZeroInverseError("zero has no inverse")
-        return Cyclo(self.conductor, _inverse(self.coeffs))
+        nums, den = _inverse(self.nums)  # 1 / (nums / den) = den * (1 / nums)
+        return _make(self.conductor, [x * self.den for x in nums], den)
 
     def galois(self, t: int) -> Cyclo:
         """The image under the field automorphism zeta -> zeta^t, t odd."""
         m, n = self.conductor, self.conductor // 2
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
+        out = [0] * n
+        for i, c in enumerate(self.nums):
             e = i * t % m
             if e < n:
                 out[e] += c
             else:
                 out[e - n] -= c
-        return Cyclo(m, out)
+        return _make(m, out, self.den)
 
     def conjugate(self) -> Cyclo:
         """Complex conjugation, the field automorphism zeta -> zeta^(-1)."""
@@ -201,24 +219,24 @@ class Cyclo:
     # -- predicates and extraction -----------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise NotRationalError(f"{self!r} has irrational parts")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other: object) -> bool:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self.coeffs == rhs.coeffs
+        return self.nums == rhs.nums and self.den == rhs.den
 
     def __hash__(self) -> int:
-        return hash((self.conductor, self.coeffs))
+        return hash((self.conductor, self.nums, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -228,9 +246,8 @@ class Cyclo:
 
     def __str__(self) -> str:
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
+        for i in compress(range(len(self.nums)), self.nums):  # the nonzero numerators only
+            c = Fraction(self.nums[i], self.den)
             if i == 0:
                 terms.append(str(c))
                 continue
@@ -255,6 +272,8 @@ class Mod2Z:
     __slots__ = ("rep",)
 
     def __init__(self, value: Scalar) -> None:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"a residue needs an int or a Fraction, got {value!r}")
         object.__setattr__(self, "rep", Fraction(value) % 2)
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -33,7 +33,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .cyclotomic import Cyclo, Mod2Z
 from .groups import (
@@ -116,7 +116,7 @@ def _factor_inverse(params: GroupParams, order: int) -> Cyclo:
     given order >= 4, in the field of conductor ``order`` that holds it."""
     step = params.half // order
     det = det_I_minus(standard_fpf(params, 1), GroupElement(step, 0))
-    return Cyclo(order, det.coeffs[::step]).inverse()
+    return Cyclo(order, det.nums[::step]).inverse() * det.den
 
 
 @lru_cache(maxsize=None)
@@ -133,11 +133,11 @@ def _inverse_det_values(params: GroupParams, order: int, summands: tuple[int, ..
     return _inverse_det_values(params, order, summands[:-1]) * last
 
 
-def _shifted_constant(y: Sequence[Fraction], j: int) -> Fraction:
-    """The constant coefficient of zeta^j * y, y given in the power basis."""
-    n = len(y)
+def _shifted_constant(y: Cyclo, j: int) -> int:
+    """The numerator, over y.den, of the constant coefficient of zeta^j * y."""
+    n = len(y.nums)
     e = -j % (2 * n)
-    return y[e] if e < n else -y[e - n]
+    return y.nums[e] if e < n else -y.nums[e - n]
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +151,7 @@ def eta_vector(params: GroupParams, subgroup: Subgroup,
     # each one contains -1, the element of order 2
     orders = sorted({half // gcd(h.a, half) for h in members if not h.b and h.a} - {2})
     key = tuple(sorted(summands))
-    levels = [(m, _inverse_det_values(params, m, key).coeffs) for m in orders]
+    levels = [(m, _inverse_det_values(params, m, key)) for m in orders]
     reflections = Counter(h.a % 2 for h in members if h.b)
     # det(I - tau) is 4^nu at -1 and 2^nu at every reflection xi^a J
     at_minus_one, at_reflection = Fraction(1, 4 ** nu), Fraction(1, 2 ** nu)
@@ -162,12 +162,13 @@ def eta_vector(params: GroupParams, subgroup: Subgroup,
             total = at_minus_one + at_reflection * sign_j * (reflections[0]
                                                              + sign_xi * reflections[1])
             # the rotation of order m is xi^(half/m), an odd power only when m = half
-            total += sum(m // 2 * (sign_xi if m == half else 1) * y[0] for m, y in levels)
+            total += sum(Fraction(m // 2 * (sign_xi if m == half else 1) * y.nums[0], y.den)
+                         for m, y in levels)
         else:
             u = p - 3
             total = 2 * (-1) ** u * at_minus_one
-            total += sum(m // 2 * (_shifted_constant(y, u) + _shifted_constant(y, -u))
-                         for m, y in levels)
+            total += sum(Fraction(m // 2 * (_shifted_constant(y, u) + _shifted_constant(y, -u)),
+                                  y.den) for m, y in levels)
         out.append(total / len(members))
     return tuple(out)
 

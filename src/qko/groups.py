@@ -181,7 +181,6 @@ _ONE_DIM = {
     "kappa2": (1, -1),
     "kappa3": (-1, -1),
 }
-_ZERO = Fraction(0)  # every gamma_trace starts from a list of this one zero
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +214,7 @@ def gamma_trace(params: GroupParams, u: int, g: GroupElement) -> Cyclo:
     zeta^(ua) + zeta^(-ua) at xi^a, 0 at xi^a J, each root put in the basis by
     zeta^(m/2) = -1."""
     m, n = params.conductor, params.conductor // 2
-    coeffs = [_ZERO] * n
+    coeffs = [0] * n
     if g.b % 2 == 0:
         for e in (u * g.a % m, -u * g.a % m):
             coeffs[e % n] += 1 if e < n else -1

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .cyclotomic import Cyclo
@@ -69,13 +70,12 @@ def _pairing(params: GroupParams, v: Sequence[Cyclo], w: Sequence[Cyclo]) -> Fra
     representatives, when that sum is rational.
 
     Only the constant coefficient is formed: in the power basis the constant
-    coefficient of v * conj(w) is the dot product of the coefficient vectors.
-    Zero coefficients of w are skipped; an irreducible character value has at
-    most two nonzero ones.
+    coefficient of v * conj(w) is the dot product of the coefficient vectors,
+    taken on the integer numerators.
     """
     total = Fraction(0)
     for (_, size), x, y in zip(conjugacy_classes(params), v, w):
-        total += size * sum(a * b for a, b in zip(x.coeffs, y.coeffs) if b)
+        total += Fraction(size * sum(map(mul, x.nums, y.nums)), x.den * y.den)
     return total / params.ell
 
 

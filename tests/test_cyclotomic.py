@@ -2,7 +2,9 @@
 
 import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -141,6 +143,100 @@ def test_inverse_properties(pair):
     assume(not x.is_zero() and not y.is_zero())
     assert x * x.inverse() == Cyclo.one(x.conductor)
     assert (x * y).inverse() == x.inverse() * y.inverse()
+
+
+def galois_reference(a, t, m):
+    """Independent oracle: zeta^i -> zeta^(i*t), each power reduced by zeta^(m/2) = -1."""
+    n = m // 2
+    out = [Fraction(0)] * n
+    for i, c in enumerate(a):
+        e = i * t % m
+        out[e % n] += c * (-1) ** (e // n)
+    return out
+
+
+def assert_lowest_terms(value):
+    assert type(value.den) is int and value.den > 0
+    assert all(type(x) is int for x in value.nums)
+    assert gcd(value.den, *value.nums) == 1, (value.nums, value.den)
+    assert len(value.nums) == value.conductor // 2
+
+
+@st.composite
+def kernel_cases(draw):
+    m = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 9]))
+    x = draw(st.lists(coeff, min_size=m // 2, max_size=m // 2))
+    y = draw(st.lists(coeff, min_size=m // 2, max_size=m // 2))
+    scalar = draw(st.one_of(st.integers(-4, 4), coeff))
+    t = draw(st.integers(-2 * m, 2 * m).map(lambda k: 2 * k + 1))
+    return m, x, y, scalar, t
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(kernel_cases())
+def test_kernel_against_fraction_lists(case):
+    # every operation on integer numerators against the same operation on
+    # Fraction lists, and every result in lowest terms with a positive denominator
+    m, x, y, scalar, t = case
+    n = m // 2
+    a, b = Cyclo(m, x), Cyclo(m, y)
+    assert list(a.coeffs) == x
+    results = {
+        "add": (a + b, [p + q for p, q in zip(x, y)]),
+        "sub": (a - b, [p - q for p, q in zip(x, y)]),
+        "neg": (-a, [-p for p in x]),
+        "mul": (a * b, poly_mult_mod(x, y, n)),
+        "scale": (a * scalar, [p * scalar for p in x]),
+        "rscale": (scalar * a, [scalar * p for p in x]),
+        "galois": (a.galois(t), galois_reference(x, t, m)),
+    }
+    if any(x):
+        inv = a.inverse()
+        assert poly_mult_mod(x, list(inv.coeffs), n) == [Fraction(1)] + [Fraction(0)] * (n - 1)
+        assert_lowest_terms(inv)
+    for name, (got, want) in results.items():
+        assert list(got.coeffs) == want, name
+        assert got == Cyclo(m, want), name
+        assert hash(got) == hash(Cyclo(m, want)), name
+        assert_lowest_terms(got)
+    # unreduced inputs: all-even numerators over an even denominator, rebuilt
+    # from the numerators, plain ints scaled down, and a sum whose common
+    # factor cancels
+    doubled = Cyclo(m, [2 * p for p in x]) * Fraction(1, 2)
+    rebuilt = Cyclo(m, [Fraction(2 * p, 2 * a.den) for p in a.nums])
+    scaled = Cyclo(m, [int(p * 2 * a.den) for p in x]) * Fraction(1, 2 * a.den)
+    cancelled = (a + a + a) * Fraction(1, 3)
+    for value in (doubled, rebuilt, scaled, cancelled):
+        assert value == a and hash(value) == hash(a)
+        assert (value.nums, value.den) == (a.nums, a.den)
+        assert_lowest_terms(value)
+
+
+def test_unreduced_inputs_compare_and_hash_equal():
+    half = Cyclo(4, [Fraction(2, 4), 1])
+    assert half == Cyclo(4, [Fraction(1, 2), Fraction(4, 4)])
+    assert hash(half) == hash(Cyclo(4, [Fraction(1, 2), Fraction(4, 4)]))
+    assert (half.nums, half.den) == ((1, 2), 2)
+    even = Cyclo(8, [2, 4, -6, 0]) * Fraction(1, 2)
+    assert (even.nums, even.den) == ((1, 2, -3, 0), 1)
+    assert even == Cyclo(8, [1, 2, -3, 0]) and hash(even) == hash(Cyclo(8, [1, 2, -3, 0]))
+    zero = Cyclo(8, [Fraction(1, 3), 0, Fraction(-5, 6), 0]) * 0
+    assert (zero.nums, zero.den) == ((0, 0, 0, 0), 1)
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2", Decimal("0.5"), None, 1j],
+                         ids=["float", "str", "Decimal", "None", "complex"])
+def test_inexact_input_raises(bad):
+    # nothing may round: a float, a string or a Decimal is refused, not converted
+    with pytest.raises(TypeError):
+        Cyclo(4, [bad, 0])
+    with pytest.raises(TypeError):
+        Cyclo(8, [0, 0, 0, bad])
+    with pytest.raises(TypeError):
+        Cyclo.rational(bad, 8)
+    with pytest.raises(TypeError):
+        Mod2Z(bad)
 
 
 def test_zero_inverse_raises():

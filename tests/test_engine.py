@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from qko import cli, oracles
 from qko.cyclotomic import Cyclo
-from qko.eta import eta_pair, eta_vector, quaternion_space
+from qko.eta import SpaceForm, eta_pair, eta_vector, quaternion_space
 from qko.groups import (
+    FpfRep,
     GroupParams,
     Subgroup,
     VirtualCharacter,
@@ -51,6 +52,34 @@ def test_eta_vector_matches_class_sum(ell):
         for subgroup in Subgroup:
             assert eta_vector(params, subgroup, summands) == \
                 oracles.eta_vector(params, subgroup, summands), (summands, subgroup)
+
+
+@st.composite
+def twisted_spaces(draw):
+    params = GroupParams(draw(st.sampled_from(ELLS)))
+    labels = irreducible_labels(params)
+
+    def combination():
+        # a small integer combination of a few irreducibles
+        picked = draw(st.lists(st.sampled_from(labels), max_size=4))
+        return VirtualCharacter(params, {label: draw(st.integers(-3, 3)) for label in picked})
+
+    sigma = combination()
+    sigma = sigma - sigma.dimension * VirtualCharacter.irreducible(params, "rho0")
+    bundle = draw(st.one_of(st.none(), st.builds(combination)))
+    tau = draw(st.lists(st.integers(-params.ell, params.ell).map(lambda k: 2 * k + 1),
+                        min_size=1, max_size=4))
+    space = SpaceForm(params, draw(st.sampled_from(list(Subgroup))), FpfRep(params, tau),
+                      draw(st.integers(0, 2)))
+    return space, sigma, bundle
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(twisted_spaces())
+def test_eta_pair_matches_class_sum_on_random_inputs(case):
+    space, sigma, bundle = case
+    assert sigma.dimension == 0
+    assert eta_pair(space, sigma, bundle) == oracles.eta_pair(space, sigma, bundle)
 
 
 @pytest.mark.parametrize("ell", ELLS)

@@ -60,3 +60,12 @@ def test_chartable_512_matches_pinned_sha256(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "7b80a9daac6fcd3d572533bf8d1b1b039c9e533f0aa30b2f7883dabdc1ef0422"
+
+
+def test_verify_128_matches_pinned_sha256(capsys):
+    """verify at its input limit, ell = 128: the digest pins the output as it
+    was when each Cyclo still held a tuple of Fractions."""
+    assert main(["verify", "--ell", "128", "--max-nu", "4", "--max-k", "3", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "b0819bf727c54544eae3c614483e6e348a20e3969b2526bf8ed2e73eeb643931"
