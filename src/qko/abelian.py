@@ -183,6 +183,9 @@ class AbelianGroup:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("AbelianGroup values are immutable")
 
+    def __reduce__(self) -> tuple:  # for pickle and copy, which would set the slots
+        return AbelianGroup, (self.invariant_factors,)
+
     @classmethod
     def trivial(cls) -> AbelianGroup:
         return cls(())

@@ -104,6 +104,9 @@ class Cyclo:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Cyclo values are immutable")
 
+    def __reduce__(self) -> tuple:  # for pickle and copy, which would set the slots
+        return _make, (self.conductor, self.nums, self.den)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The power-basis coordinates as :class:`~fractions.Fraction` values."""
@@ -278,6 +281,9 @@ class Mod2Z:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Mod2Z values are immutable")
+
+    def __reduce__(self) -> tuple:  # for pickle and copy, which would set the slot
+        return Mod2Z, (self.rep,)
 
     def __add__(self, other: object) -> Mod2Z:
         if isinstance(other, Mod2Z):

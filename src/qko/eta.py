@@ -16,6 +16,9 @@ integer combination of one rational eta vector per (group, subgroup, tau):
 
     e[chi] = (1/|H|) * sum over h in H - {1} of chi(h) / det(I - tau(h)).
 
+The vector is ``int`` numerators over one positive ``int`` denominator in
+lowest terms, so a pairing is one integer dot product and one ``Fraction``.
+
 The vector is summed over Galois orbits rather than classes.  The rotations
 of H of one order M >= 4 form an orbit of zeta -> zeta^t (t odd), which
 carries chi(h) / det(I - tau(h)) to its conjugates, so their sum is a field
@@ -32,7 +35,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .cyclotomic import Cyclo, Mod2Z
@@ -141,10 +144,10 @@ def _shifted_constant(y: Cyclo, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def eta_vector(params: GroupParams, subgroup: Subgroup,
-               summands: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """e[chi] = (1/|H|) * sum over h in H - {1} of chi(h) / det(I - tau(h)),
-    for each irreducible chi in :func:`irreducible_labels` order."""
+def _eta_numerators(params: GroupParams, subgroup: Subgroup,
+                    summands: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    # The eta vector as int numerators over one positive int denominator in lowest
+    # terms: each term over the lcm of 4^nu (2^nu divides it) and the levels' y.den.
     members = quaternion_group(params).subgroup_elements(subgroup)
     half, nu = params.half, len(summands)
     # H meets every rotation of each order it meets, since it is a subgroup;
@@ -152,25 +155,38 @@ def eta_vector(params: GroupParams, subgroup: Subgroup,
     orders = sorted({half // gcd(h.a, half) for h in members if not h.b and h.a} - {2})
     key = tuple(sorted(summands))
     levels = [(m, _inverse_det_values(params, m, key)) for m in orders]
+    common = lcm(4 ** nu, *(y.den for _, y in levels))
+    # each level's trace M/2 times its constant coefficient, over common
+    levels = [(m, m // 2 * (common // y.den), y) for m, y in levels]
     reflections = Counter(h.a % 2 for h in members if h.b)
     # det(I - tau) is 4^nu at -1 and 2^nu at every reflection xi^a J
-    at_minus_one, at_reflection = Fraction(1, 4 ** nu), Fraction(1, 2 ** nu)
-    out = []
+    at_minus_one, at_reflection = common // 4 ** nu, common // 2 ** nu
+    nums = []
     for p in range(len(irreducible_labels(params))):
         if p < 4:
             sign_xi, sign_j = (-1) ** (p & 1), (-1) ** (p >> 1)
             total = at_minus_one + at_reflection * sign_j * (reflections[0]
                                                              + sign_xi * reflections[1])
             # the rotation of order m is xi^(half/m), an odd power only when m = half
-            total += sum(Fraction(m // 2 * (sign_xi if m == half else 1) * y.nums[0], y.den)
-                         for m, y in levels)
+            total += sum(scale * (sign_xi if m == half else 1) * y.nums[0]
+                         for m, scale, y in levels)
         else:
             u = p - 3
             total = 2 * (-1) ** u * at_minus_one
-            total += sum(Fraction(m // 2 * (_shifted_constant(y, u) + _shifted_constant(y, -u)),
-                                  y.den) for m, y in levels)
-        out.append(total / len(members))
-    return tuple(out)
+            total += sum(scale * (_shifted_constant(y, u) + _shifted_constant(y, -u))
+                         for _, scale, y in levels)
+        nums.append(total)
+    den = common * len(members)
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
+
+
+def eta_vector(params: GroupParams, subgroup: Subgroup,
+               summands: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """e[chi] = (1/|H|) * sum over h in H - {1} of chi(h) / det(I - tau(h)),
+    for each irreducible chi in :func:`irreducible_labels` order."""
+    nums, den = _eta_numerators(params, subgroup, summands)
+    return tuple(Fraction(x, den) for x in nums)
 
 
 def eta_pair(space: SpaceForm, sigma: VirtualCharacter,
@@ -187,11 +203,10 @@ def eta_pair(space: SpaceForm, sigma: VirtualCharacter,
     if sigma.dimension != 0:
         raise NotReducedError(f"twisting character has dimension {sigma.dimension}, not 0")
     product = sigma if bundle is None else sigma * bundle
-    vector = eta_vector(space.params, space.subgroup, space.tau.summands)
+    nums, den = _eta_numerators(space.params, space.subgroup, space.tau.summands)
     positions = label_positions(space.params)
-    exact = sum((m * vector[positions[label]] for label, m in product.mults.items()),
-                Fraction(0))
-    return EtaValue.from_exact(exact * space.a_roof_factor)
+    total = sum(m * nums[positions[label]] for label, m in product._mults)
+    return EtaValue.from_exact(Fraction(total * space.a_roof_factor, den))
 
 
 def eta_theta_closed_form(i1: int, i2: int, nu: int, params: GroupParams) -> Fraction:

@@ -270,6 +270,9 @@ class VirtualCharacter:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("VirtualCharacter values are immutable")
 
+    def __reduce__(self) -> tuple:  # for pickle and copy, which would set the slots
+        return VirtualCharacter, (self.params, dict(self._mults))
+
     @classmethod
     def zero(cls, params: GroupParams) -> VirtualCharacter:
         return cls(params, {})

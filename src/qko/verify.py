@@ -13,8 +13,9 @@ command runs the whole list and fails its exit code on any mismatch.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import oracles
 from .abelian import (
@@ -273,9 +274,10 @@ def brute_force_span(generators: list[tuple[Fraction, ...]]) -> AbelianGroup:
                 elements.add(nxt)
                 frontier.append(nxt)
 
-    order = len(elements)
+    # each element's order, counted once: the p^k-torsion is the elements whose order divides p^k
+    orders = Counter(modulus // gcd(modulus, *e) for e in elements)
     factors = []
-    remaining = order
+    remaining = len(elements)
     p = 2
     while remaining > 1:
         if remaining % p:
@@ -285,8 +287,7 @@ def brute_force_span(generators: list[tuple[Fraction, ...]]) -> AbelianGroup:
         k = 1
         prev_count = 1
         while True:
-            count = sum(1 for e in elements
-                        if all(p ** k * x % modulus == 0 for x in e))
+            count = sum(c for o, c in orders.items() if p ** k % o == 0)
             layer = count // prev_count
             if layer == 1:
                 break

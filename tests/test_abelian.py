@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qko.abelian import (
     AbelianGroup,
@@ -176,3 +178,21 @@ def test_quotient_matches_brute_force_n2():
             continue
         assert quotient_group(gens) == brute_force_span(gens), gens
         count += 1
+
+
+@st.composite
+def spans(draw):
+    """1-3 generators of one length 1-3 over a common denominator d, often
+    with the odd prime factors 3, 5 and 7; the span has at most (2d)^length
+    elements, kept at desk scale."""
+    length = draw(st.integers(1, 3))
+    d = draw(st.sampled_from([d for d in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 24)
+                              if (2 * d) ** length <= 3000]))
+    return [tuple(Fraction(draw(st.integers(0, 2 * d - 1)), d) for _ in range(length))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(spans())
+def test_quotient_matches_brute_force_on_random_spans(gens):
+    assert quotient_group(gens) == brute_force_span(gens)

@@ -1,5 +1,7 @@
 """The package's public names, its records and what importing the CLI loads."""
 
+import copy
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import qko
+from qko.abelian import AbelianGroup
+from qko.cyclotomic import Cyclo, Mod2Z
 from qko.eta import EtaValue, quaternion_space
-from qko.groups import FpfRep, GroupParams, InvalidParamsError
+from qko.groups import FpfRep, GroupParams, InvalidParamsError, VirtualCharacter
 from qko.ktheory import ksp_group, structure_checks
 
 
@@ -53,6 +57,27 @@ def test_records_are_immutable():
         for name in (field, "extra"):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+
+
+COPIERS = {f"pickle{protocol}": lambda value, protocol=protocol:
+           pickle.loads(pickle.dumps(value, protocol))
+           for protocol in range(pickle.HIGHEST_PROTOCOL + 1)}
+COPIERS.update(copy=copy.copy, deepcopy=copy.deepcopy)
+
+
+@pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+def test_values_survive_pickle_and_copy(copier):
+    # so that they can cross a process boundary, as concurrent workers need
+    params = GroupParams(8)
+    values = [Cyclo(8, [Fraction(1, 2), 0, -3, Fraction(2, 3)]), Mod2Z(Fraction(7, 3)),
+              VirtualCharacter(params, {"kappa1": 2, "gamma1": -1}), AbelianGroup((2, 4)),
+              EtaValue.from_exact(Fraction(-5, 3)), ksp_group(2, params)]
+    for value in values:
+        copied = copier(value)
+        assert type(copied) is type(value)
+        assert copied == value and hash(copied) == hash(value), value
+    with pytest.raises(AttributeError):
+        copier(values[0]).den = 2
 
 
 def test_replace_on_a_checked_record_runs_its_checks():

@@ -8,15 +8,17 @@ no K-group computation reaches an oracle.
 """
 
 import ast
+import random
 import sys
-from math import log2
+from fractions import Fraction
+from math import gcd, log2
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qko import cli, oracles
+from qko import cli, eta, oracles
 from qko.cyclotomic import Cyclo
 from qko.eta import SpaceForm, eta_pair, eta_vector, quaternion_space
 from qko.groups import (
@@ -80,6 +82,39 @@ def test_eta_pair_matches_class_sum_on_random_inputs(case):
     space, sigma, bundle = case
     assert sigma.dimension == 0
     assert eta_pair(space, sigma, bundle) == oracles.eta_pair(space, sigma, bundle)
+
+
+def test_eta_pair_is_integer_arithmetic_once_cached(monkeypatch):
+    """With the eta vectors cached, a pairing adds and multiplies no Fraction:
+    it is one integer dot product over the vector's one denominator."""
+    rng = random.Random(12)
+    cases = []
+    for ell in (8, 32, 64):
+        params = GroupParams(ell)
+        labels = irreducible_labels(params)
+        rho0 = VirtualCharacter.irreducible(params, "rho0")
+        sigmas = [theta(1, params), theta(2, params), delta_power(1, params),
+                  delta_power(3, params)]
+        for _ in range(4):
+            combo = VirtualCharacter(params, {label: rng.randint(-3, 3)
+                                              for label in rng.sample(labels, 3)})
+            sigmas.append(combo - combo.dimension * rho0)
+        bundles = (None, delta_power(2, params), VirtualCharacter.irreducible(params, labels[-1]))
+        for subgroup in Subgroup:
+            for summands, z_factor in (((1,), 0), ((1, 3), 1), ((5, 1, 1), 2)):
+                space = SpaceForm(params, subgroup, FpfRep(params, summands), z_factor)
+                nums, den = eta._eta_numerators(params, subgroup, summands)
+                assert den > 0 and gcd(den, *nums) == 1, (ell, subgroup, summands)
+                cases += [(space, sigma, bundle, eta_pair(space, sigma, bundle))
+                          for sigma in sigmas for bundle in bundles]
+
+    def fraction_arithmetic(*args):
+        raise AssertionError("eta_pair added or multiplied a Fraction")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__"):
+        monkeypatch.setattr(Fraction, name, fraction_arithmetic)
+    for space, sigma, bundle, want in cases:
+        assert eta_pair(space, sigma, bundle) == want, (space, sigma, bundle)
 
 
 @pytest.mark.parametrize("ell", ELLS)

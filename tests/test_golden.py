@@ -69,3 +69,13 @@ def test_verify_128_matches_pinned_sha256(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "b0819bf727c54544eae3c614483e6e348a20e3969b2526bf8ed2e73eeb643931"
+
+
+def test_verify_warm_job_matches_pinned_sha256(capsys):
+    """The benchmark's verify job: the digest pins the output as it was when
+    each eta pairing still summed Fractions."""
+    assert main(["verify", "--ell", "8,16,32", "--max-nu", "6", "--max-k", "5",
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "9a41b6821dd3e56c9611d0a8b721252c00b42abb544c0a6f67e921b0d63918d2"
