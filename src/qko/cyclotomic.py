@@ -215,10 +215,6 @@ class Cyclo:
                 out[e - n] -= c
         return _make(m, out, self.den)
 
-    def conjugate(self) -> Cyclo:
-        """Complex conjugation, the field automorphism zeta -> zeta^(-1)."""
-        return self.galois(-1)
-
     # -- predicates and extraction -----------------------------------------
 
     def is_zero(self) -> bool:

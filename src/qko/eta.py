@@ -17,7 +17,8 @@ integer combination of one rational eta vector per (group, subgroup, tau):
     e[chi] = (1/|H|) * sum over h in H - {1} of chi(h) / det(I - tau(h)).
 
 The vector is ``int`` numerators over one positive ``int`` denominator in
-lowest terms, so a pairing is one integer dot product and one ``Fraction``.
+lowest terms, so a pairing is the dot product of two integer vectors, the
+multiplicities of sigma * rho and these numerators, and one ``Fraction``.
 
 The vector is summed over Galois orbits rather than classes.  The rotations
 of H of one order M >= 4 form an orbit of zeta -> zeta^t (t odd), which
@@ -36,6 +37,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .cyclotomic import Cyclo, Mod2Z
@@ -47,7 +49,7 @@ from .groups import (
     VirtualCharacter,
     det_I_minus,
     irreducible_labels,
-    label_positions,
+    one_dim_sign,
     quaternion_group,
     standard_fpf,
 )
@@ -164,11 +166,10 @@ def _eta_numerators(params: GroupParams, subgroup: Subgroup,
     nums = []
     for p in range(len(irreducible_labels(params))):
         if p < 4:
-            sign_xi, sign_j = (-1) ** (p & 1), (-1) ** (p >> 1)
-            total = at_minus_one + at_reflection * sign_j * (reflections[0]
-                                                             + sign_xi * reflections[1])
-            # the rotation of order m is xi^(half/m), an odd power only when m = half
-            total += sum(scale * (sign_xi if m == half else 1) * y.nums[0]
+            total = at_minus_one + at_reflection * sum(one_dim_sign(p, a, 1) * count
+                                                       for a, count in reflections.items())
+            # the rotation of order m is xi^(half/m)
+            total += sum(scale * one_dim_sign(p, half // m, 0) * y.nums[0]
                          for m, scale, y in levels)
         else:
             u = p - 3
@@ -204,8 +205,7 @@ def eta_pair(space: SpaceForm, sigma: VirtualCharacter,
         raise NotReducedError(f"twisting character has dimension {sigma.dimension}, not 0")
     product = sigma if bundle is None else sigma * bundle
     nums, den = _eta_numerators(space.params, space.subgroup, space.tau.summands)
-    positions = label_positions(space.params)
-    total = sum(m * nums[positions[label]] for label, m in product._mults)
+    total = sum(map(mul, product.vector, nums))
     return EtaValue.from_exact(Fraction(total * space.a_roof_factor, den))
 
 

@@ -9,16 +9,18 @@ ell/2, handled exactly by :mod:`qko.cyclotomic`.
 The ell/4 + 3 conjugacy classes are known in closed form -- {1}, {-1},
 {xi^(+-a)} for 0 < a < ell/4, {xi^even J} and {xi^odd J} -- and so are the
 irreducible characters: four 1-dimensional ones and gamma_u for
-0 < u < ell/4.  Virtual characters are integer combinations of them and
-multiply in the representation ring by integer fusion rules, never through
+0 < u < ell/4, at positions 0-3 and 3 + u.  A virtual character is one
+integer vector of multiplicities in that order, and labels are read or
+written only at the boundary.  Virtual characters multiply in the
+representation ring by integer fusion rules on positions, never through
 their class values: the 1-dimensional characters form a Klein group, a
 1-dimensional character fixes or reflects the index u of gamma_u, and
 gamma_u * gamma_v = gamma_(u+v) + gamma_(u-v), folded back into range.  The
 distinguished classes theta_i and delta^r and the constants c_i are closed
-forms or fusion products.  A virtual character is its multiplicities alone:
-only :mod:`qko.oracles` evaluates one at the classes.  Single character
-values remain for the character table and det(I - tau), each value of
-gamma_u written straight from its two roots of unity.
+forms or fusion products; only :mod:`qko.oracles` evaluates a virtual
+character at the classes.  Single character values remain for the character
+table and det(I - tau), each value of gamma_u written straight from its two
+roots of unity.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -174,23 +177,23 @@ def conjugacy_classes(params: GroupParams) -> tuple[tuple[GroupElement, int], ..
 # Irreducible characters
 # ---------------------------------------------------------------------------
 
-_ONE_DIM = {
-    # label: (value at xi, value at J)
-    "rho0": (1, 1),
-    "kappa1": (-1, 1),
-    "kappa2": (1, -1),
-    "kappa3": (-1, -1),
-}
+_ONE_DIM_LABELS = ("rho0", "kappa1", "kappa2", "kappa3")
+
+
+def one_dim_sign(p: int, a: int, b: int) -> int:
+    """The 1-dimensional character at position p < 4, at xi^a J^b:
+    (-1)^((p & 1) a + (p >> 1) b)."""
+    return -1 if ((p & 1) * a + (p >> 1) * b) % 2 else 1
 
 
 @lru_cache(maxsize=None)
 def irreducible_labels(params: GroupParams) -> tuple[str, ...]:
     """The ell/4 + 3 irreducible characters: four 1-dimensional, the rest 2-dimensional.
 
-    Position p < 4 holds the 1-dimensional character with value
-    (-1)^((p & 1) a + (p >> 1) b) at xi^a J^b; position 3 + u holds gamma_u.
+    Position p < 4 holds the 1-dimensional character whose value at xi^a J^b is
+    :func:`one_dim_sign` (p, a, b); position 3 + u holds gamma_u.
     """
-    return tuple(_ONE_DIM) + tuple(f"gamma{u}" for u in range(1, params.quarter))
+    return _ONE_DIM_LABELS + tuple(f"gamma{u}" for u in range(1, params.quarter))
 
 
 @lru_cache(maxsize=None)
@@ -199,14 +202,15 @@ def label_positions(params: GroupParams) -> Mapping[str, int]:
     return MappingProxyType({label: p for p, label in enumerate(irreducible_labels(params))})
 
 
+def _position(params: GroupParams, label: str) -> int:
+    try:
+        return label_positions(params)[label]
+    except KeyError:
+        raise ValueError(f"unknown irreducible label {label!r} for ell={params.ell}") from None
+
+
 def char_dim(label: str) -> int:
-    return 1 if label in _ONE_DIM else 2
-
-
-def _gamma_index(label: str) -> int | None:
-    if label.startswith("gamma"):
-        return int(label[5:])
-    return None
+    return 1 if label in _ONE_DIM_LABELS else 2
 
 
 def gamma_trace(params: GroupParams, u: int, g: GroupElement) -> Cyclo:
@@ -223,13 +227,10 @@ def gamma_trace(params: GroupParams, u: int, g: GroupElement) -> Cyclo:
 
 def char_value(params: GroupParams, label: str, g: GroupElement) -> Cyclo:
     """Value of the irreducible character at a group element."""
-    if label not in label_positions(params):
-        raise ValueError(f"unknown irreducible label {label!r} for ell={params.ell}")
-    u = _gamma_index(label)
-    if u is not None:
-        return gamma_trace(params, u, g)
-    sx, sj = _ONE_DIM[label]
-    return Cyclo.rational(sx ** (g.a % 2) * sj ** (g.b % 2), params.conductor)
+    p = _position(params, label)
+    if p > 3:
+        return gamma_trace(params, p - 3, g)
+    return Cyclo.rational(one_dim_sign(p, g.a, g.b), params.conductor)
 
 
 def det_one_minus_gamma(params: GroupParams, u: int, g: GroupElement) -> Cyclo:
@@ -247,35 +248,34 @@ def det_one_minus_gamma(params: GroupParams, u: int, g: GroupElement) -> Cyclo:
 class VirtualCharacter:
     """An integer combination of irreducible characters, used as a class function.
 
-    It is its group and its nonzero integer multiplicities in label order,
-    immutable and hashable; products go by the fusion rules.
+    It is its group and one read-only integer ``vector``, one multiplicity per
+    irreducible in :func:`irreducible_labels` order; it is immutable and
+    hashable, and products go by the fusion rules.  Labels are read and
+    written only at the boundary: the ``{label: m}`` constructor,
+    :meth:`irreducible`, :attr:`mults` and the repr.
     """
 
-    __slots__ = ("params", "_mults")
+    __slots__ = ("params", "vector")
 
     def __init__(self, params: GroupParams, mults: Mapping[str, int]) -> None:
-        positions = label_positions(params)
-        clean = {}
+        vector = [0] * len(irreducible_labels(params))
         for label, m in mults.items():
-            if label not in positions:
-                raise ValueError(f"unknown irreducible label {label!r} for ell={params.ell}")
+            p = _position(params, label)
             if int(m) != m:
                 raise NotVirtualError(f"multiplicity of {label} is not an integer: {m}")
-            if m:
-                clean[label] = int(m)
+            vector[p] = int(m)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_mults", tuple(sorted(clean.items(),
-                                                        key=lambda kv: positions[kv[0]])))
+        object.__setattr__(self, "vector", tuple(vector))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("VirtualCharacter values are immutable")
 
     def __reduce__(self) -> tuple:  # for pickle and copy, which would set the slots
-        return VirtualCharacter, (self.params, dict(self._mults))
+        return _character, (self.params, self.vector)
 
     @classmethod
     def zero(cls, params: GroupParams) -> VirtualCharacter:
-        return cls(params, {})
+        return _character(params, (0,) * len(irreducible_labels(params)))
 
     @classmethod
     def irreducible(cls, params: GroupParams, label: str) -> VirtualCharacter:
@@ -283,62 +283,62 @@ class VirtualCharacter:
 
     @property
     def mults(self) -> dict[str, int]:
-        return dict(self._mults)
+        """The nonzero multiplicities by label, in :func:`irreducible_labels` order."""
+        return {label: m for label, m in zip(irreducible_labels(self.params), self.vector) if m}
 
     @property
     def dimension(self) -> int:
-        return sum(m * char_dim(label) for label, m in self._mults)
+        v = self.vector
+        return sum(v[:4]) + 2 * sum(v[4:])
 
-    def _binary(self, other: VirtualCharacter, sign: int) -> VirtualCharacter:
+    def _binary(self, other: VirtualCharacter, op) -> VirtualCharacter:
         if self.params != other.params:
             raise ValueError("virtual characters live over different groups")
-        mults = self.mults
-        for label, m in other._mults:
-            mults[label] = mults.get(label, 0) + sign * m
-        return VirtualCharacter(self.params, mults)
+        return _character(self.params, tuple(map(op, self.vector, other.vector)))
 
     def __add__(self, other: VirtualCharacter) -> VirtualCharacter:
-        return self._binary(other, 1)
+        return self._binary(other, add)
 
     def __sub__(self, other: VirtualCharacter) -> VirtualCharacter:
-        return self._binary(other, -1)
+        return self._binary(other, sub)
 
     def __neg__(self) -> VirtualCharacter:
-        return VirtualCharacter(self.params, {label: -m for label, m in self._mults})
+        return _character(self.params, tuple(-m for m in self.vector))
 
     def __mul__(self, other: object) -> VirtualCharacter:
         if isinstance(other, VirtualCharacter):
             return fusion_product(self, other)
         if not isinstance(other, int):
             return NotImplemented
-        return VirtualCharacter(self.params, {label: other * m for label, m in self._mults})
+        return _character(self.params, tuple(other * m for m in self.vector))
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VirtualCharacter):
             return NotImplemented
-        return self.params == other.params and self._mults == other._mults
+        return self.params == other.params and self.vector == other.vector
 
     def __hash__(self) -> int:
-        return hash((self.params, self._mults))
+        return hash((self.params, self.vector))
 
     def __repr__(self) -> str:
-        if not self._mults:
-            return "0"
-        parts = []
-        for label, m in self._mults:
-            if m == 1:
-                text = label
-            elif m == -1:
-                text = f"-{label}"
+        out = ""
+        for label, m in self.mults.items():
+            term = label if abs(m) == 1 else f"{abs(m)}*{label}"
+            if m < 0:
+                out += f" - {term}" if out else f"-{term}"
             else:
-                text = f"{m}*{label}"
-            parts.append(text)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+                out += f" + {term}" if out else term
+        return out or "0"
+
+
+def _character(params: GroupParams, vector: tuple[int, ...]) -> VirtualCharacter:
+    """The virtual character with the given multiplicity vector, unchecked."""
+    f = object.__new__(VirtualCharacter)
+    object.__setattr__(f, "params", params)
+    object.__setattr__(f, "vector", vector)
+    return f
 
 
 @lru_cache(maxsize=None)
@@ -359,14 +359,13 @@ def fusion_product(f1: VirtualCharacter, f2: VirtualCharacter) -> VirtualCharact
     if f1.params != f2.params:
         raise ValueError("virtual characters live over different groups")
     params = f1.params
-    positions = label_positions(params)
-    labels = irreducible_labels(params)
     folded = _folded(params)
-    out = [0] * len(labels)
-    for l1, m1 in f1._mults:
-        p = positions[l1]
-        for l2, m2 in f2._mults:
-            q = positions[l2]
+    out = [0] * len(f1.vector)
+    terms2 = [(q, m2) for q, m2 in enumerate(f2.vector) if m2]
+    for p, m1 in enumerate(f1.vector):
+        if not m1:
+            continue
+        for q, m2 in terms2:
             m = m1 * m2
             if p < 4 and q < 4:
                 # the 1-dimensional characters multiply as the Klein group
@@ -379,7 +378,7 @@ def fusion_product(f1: VirtualCharacter, f2: VirtualCharacter) -> VirtualCharact
                 # gamma_u * gamma_v = gamma_(u+v) + gamma_(u-v)
                 for r in folded[(p + q - 6) % params.half] + folded[(p - q) % params.half]:
                     out[r] += m
-    return VirtualCharacter(params, {labels[r]: m for r, m in enumerate(out) if m})
+    return _character(params, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +397,16 @@ def theta(i: int, params: GroupParams) -> VirtualCharacter:
     """
     if i not in (1, 2):
         raise ValueError(f"theta index must be 1 or 2, got {i}")
-    mults = {}
-    for p, label in enumerate(_ONE_DIM):
-        at_i = (-1) ** ((p & 1) * params.eighth)
-        at_r = (-1) ** ((p & 1) * (i - 1) + (p >> 1))
-        mults[label] = (at_i - at_r) // 2
-    for j in range(1, params.eighth):
-        mults[f"gamma{2 * j}"] = (-1) ** j
-    return VirtualCharacter(params, mults)
+    # I = xi^(ell/8); R = J = xi^0 J for i = 1 and xi^1 J for i = 2
+    one_dim = ((one_dim_sign(p, params.eighth, 0) - one_dim_sign(p, i - 1, 1)) // 2
+               for p in range(4))
+    gammas = (0 if u % 2 else (-1) ** (u // 2) for u in range(1, params.quarter))
+    return _character(params, (*one_dim, *gammas))
 
 
 def delta(params: GroupParams) -> VirtualCharacter:
     """The virtual character 2*rho0 - gamma1; its class function is det(I - gamma1(.))."""
-    return VirtualCharacter(params, {"rho0": 2, "gamma1": -1})
+    return _character(params, (2, 0, 0, 0, -1) + (0,) * (params.quarter - 2))
 
 
 @lru_cache(maxsize=None)
@@ -433,7 +429,7 @@ def c_constant(i: int, params: GroupParams) -> Fraction:
     vector's rho0 entry for the full group acting by |i| copies of gamma1.
     """
     if i > 0:
-        return Fraction(delta_power(i, params).mults.get("rho0", 0))
+        return Fraction(delta_power(i, params).vector[0])
     if i == 0:
         return Fraction(params.ell - 1, params.ell)
     from .eta import eta_vector  # eta builds on this module
@@ -446,10 +442,8 @@ def fs_indicator(params: GroupParams, label: str) -> int:
     In closed form: every irreducible is self-dual; the 1-dimensional ones and
     the even gamma_u are real, the odd gamma_u quaternionic.
     """
-    if label not in label_positions(params):
-        raise ValueError(f"unknown irreducible label {label!r} for ell={params.ell}")
-    u = _gamma_index(label)
-    return -1 if u is not None and u % 2 else 1
+    p = _position(params, label)
+    return -1 if p > 3 and (p - 3) % 2 else 1
 
 
 _RINGS = ("RU", "RU0", "RO", "RO0", "RSp", "RSp0")
@@ -469,15 +463,9 @@ def membership(sigma: VirtualCharacter, ring: str) -> bool:
     base = ring.rstrip("0")
     if base == "RU":
         return True
-    for label, m in sigma.mults.items():
-        u = _gamma_index(label)
-        if base == "RO":
-            doubled = u is not None and u % 2 == 1
-        else:  # RSp
-            doubled = u is None or u % 2 == 0
-        if doubled and m % 2:
-            return False
-    return True
+    v = sigma.vector  # the odd gamma_u sit at v[4::2]
+    doubled = v[4::2] if base == "RO" else v[:4] + v[5::2]
+    return not any(m % 2 for m in doubled)
 
 
 # ---------------------------------------------------------------------------

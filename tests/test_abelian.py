@@ -71,6 +71,20 @@ def test_snf_random_matrices():
         snf_postconditions(mat)
 
 
+@st.composite
+def int_matrices(draw):
+    """Up to 6 x 6 integer matrices with entries in -20..20, empty shapes included."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    row = st.lists(st.integers(-20, 20), min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(int_matrices())
+def test_snf_postconditions_on_random_matrices(mat):
+    snf_postconditions(mat)
+
+
 def test_determinant_bareiss():
     assert matrix_determinant([[3, 2], [2, 3]]) == 5
     assert matrix_determinant([[2, 0, 0], [0, 0, 1], [0, 1, 0]]) == -2
@@ -160,6 +174,16 @@ def test_quotient_matches_brute_force_n1():
 
 
 def test_quotient_matches_brute_force_n2():
+    # systematic: each denominator up to 16 paired with 1, with 2 and with itself
+    rng = random.Random(424242)
+    for q in range(1, 17):
+        for q2 in {1, 2, q}:
+            for _ in range(4):
+                gens = [(Fraction(rng.randint(0, 2 * q - 1), q),
+                         Fraction(rng.randint(0, 2 * q2 - 1), q2))
+                        for _ in range(rng.randint(1, 2))]
+                assert quotient_group(gens) == brute_force_span(gens), gens
+    # random mixtures
     rng = random.Random(99)
     count = 0
     while count < 200:

@@ -2,31 +2,26 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines.  Everything here is exact integer / rational arithmetic; there are no
-tolerances anywhere.
+tolerances anywhere.  Criterion 8 (character theory) is held by
+``tests/test_groups.py``'s orthonormality and Frobenius-Schur tests, and
+criterion 9 (quotients against brute force, Smith-form postconditions) by
+``tests/test_abelian.py``.
 """
 
-import random
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
-from qko.abelian import AbelianGroup, matrix_determinant, matrix_product, quotient_group, smith_normal_form
-from qko.cyclotomic import Cyclo, Mod2Z
+from qko.abelian import AbelianGroup, quotient_group
+from qko.cyclotomic import Mod2Z
 from qko.eta import NotReducedError, eta_pair, eta_theta_closed_form, quaternion_space
 from qko.groups import (
     GroupParams,
     VirtualCharacter,
     c_constant,
-    char_dim,
-    char_value,
-    conjugacy_classes,
     delta_power,
-    fs_indicator,
-    irreducible_labels,
     membership,
-    quaternion_group,
     theta,
 )
 from qko.ktheory import (
@@ -36,7 +31,6 @@ from qko.ktheory import (
     ksp_group,
     ksp_order_formula,
 )
-from qko.oracles import inner_product
 from qko.verify import brute_force_span
 
 ELLS = (8, 16, 32)
@@ -188,83 +182,6 @@ def test_criterion_7_matrix_reproduction():
                     printed = [[coeff, Fraction(0)], [Fraction(0), coeff]]
                     assert c.span() == quotient_group(printed)
                 assert ko_report.b_matrix.entries == ksp_group(k + 1, params).b_matrix.entries
-
-
-def test_criterion_8_character_theory():
-    with criterion(8, "orthonormality, dimension-square sum, and real/quaternion "
-                      "indicators for ell in {8,16,32,64}"):
-        for ell in (8, 16, 32, 64):
-            params = GroupParams(ell)
-            labels = irreducible_labels(params)
-            assert len(labels) == ell // 4 + 3
-            assert sum(char_dim(l) ** 2 for l in labels) == ell
-            for i, l1 in enumerate(labels):
-                for l2 in labels[i:]:
-                    got = inner_product(VirtualCharacter.irreducible(params, l1),
-                                        VirtualCharacter.irreducible(params, l2))
-                    assert got == (1 if l1 == l2 else 0), (ell, l1, l2)
-            group = quaternion_group(params)
-            for label in labels:
-                want = 1
-                if label.startswith("gamma") and int(label[5:]) % 2:
-                    want = -1
-                # the defining sum (1/ell) sum_g chi(g^2), over the classes
-                total = sum((size * char_value(params, label, group.square(rep))
-                             for rep, size in conjugacy_classes(params)),
-                            Cyclo.zero(params.conductor))
-                assert fs_indicator(params, label) == want == total.to_rational() / ell, \
-                    (ell, label)
-
-
-def test_criterion_9_oracle_equivalence():
-    with criterion(9, "quotient_group agrees with brute-force enumeration (n <= 2, "
-                      "denominators <= 16); SNF postconditions on 200 random matrices"):
-        # n = 1: every representative of every denominator up to 16
-        for q in range(1, 17):
-            for p in range(2 * q):
-                gens = [(Fraction(p, q),)]
-                assert quotient_group(gens) == brute_force_span(gens), (p, q)
-        # n = 2, systematic: each denominator paired with itself and with 2
-        rng = random.Random(424242)
-        for q in range(1, 17):
-            for q2 in {1, 2, q}:
-                for _ in range(4):
-                    gens = [(Fraction(rng.randint(0, 2 * q - 1), q),
-                             Fraction(rng.randint(0, 2 * q2 - 1), q2))
-                            for _ in range(rng.randint(1, 2))]
-                    assert quotient_group(gens) == brute_force_span(gens), gens
-        # n = 2, random mixtures; keep the joint lcm small enough that the
-        # enumeration oracle stays at desk scale
-        count = 0
-        while count < 150:
-            gens = []
-            denominators = []
-            for _ in range(rng.randint(1, 3)):
-                q1 = rng.randint(1, 16)
-                q2 = rng.randint(1, 16)
-                denominators += [q1, q2]
-                gens.append((Fraction(rng.randint(0, 2 * q1 - 1), q1),
-                             Fraction(rng.randint(0, 2 * q2 - 1), q2)))
-            joint = 1
-            for q in denominators:
-                joint = joint * q // gcd(joint, q)
-            if joint > 24:
-                continue
-            assert quotient_group(gens) == brute_force_span(gens), gens
-            count += 1
-
-        for _ in range(200):
-            rows = rng.randint(1, 6)
-            cols = rng.randint(1, 6)
-            mat = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
-            u, d, v = smith_normal_form(mat)
-            assert matrix_product(matrix_product(u, mat), v) == d
-            assert abs(matrix_determinant(u)) == 1
-            assert abs(matrix_determinant(v)) == 1
-            diag = [d[i][i] for i in range(min(rows, cols))]
-            assert all(x >= 0 for x in diag)
-            chain = [x for x in diag if x]
-            assert all(y % x == 0 for x, y in zip(chain, chain[1:]))
 
 
 def test_criterion_10_splitting_pattern():

@@ -1,5 +1,6 @@
 """The package's public names, its records and what importing the CLI loads."""
 
+import ast
 import copy
 import pickle
 import subprocess
@@ -89,3 +90,25 @@ def test_replace_on_a_checked_record_runs_its_checks():
     with pytest.raises(ValueError, match="z_factor must be >= 0"):
         quaternion_space(params, 2)._replace(z_factor=-1)
     assert FpfRep(params, (1,))._replace(summands=[3.0]).summands == (3,)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """What a linter's unused-import rule would check: every name that a module
+    of the package imports is read in that module or listed in its ``__all__``."""
+    unused = []
+    for path in sorted(Path(qko.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

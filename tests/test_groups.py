@@ -1,9 +1,14 @@
 """Group structure and character theory of the 2-power quaternion groups."""
 
+import pickle
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qko.cli import parse_character
 from qko.cyclotomic import Cyclo
 from qko.groups import (
     FpfRep,
@@ -391,3 +396,50 @@ def test_virtual_character_algebra():
     assert repr(d) == "2*rho0 - gamma1"
     with pytest.raises(ValueError):
         VirtualCharacter(P8, {"gamma7": 1})
+
+
+@st.composite
+def label_maps(draw):
+    """A group of order 8, 16 or 64, two {label: int} maps on it (the second one
+    often the first with explicit zeros added) and an integer scalar."""
+    params = GroupParams(draw(st.sampled_from((8, 16, 64))))
+    labels = irreducible_labels(params)
+    maps = st.dictionaries(st.sampled_from(labels), st.integers(-5, 5), max_size=6)
+    first = draw(maps)
+    if draw(st.booleans()):
+        second = {**dict.fromkeys(draw(st.lists(st.sampled_from(labels))), 0), **first}
+    else:
+        second = draw(maps)
+    return params, first, second, draw(st.integers(-4, 4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(label_maps())
+def test_vector_form_agrees_with_a_dict_model(case):
+    params, m1, m2, k = case
+    labels = irreducible_labels(params)
+
+    def model(op, a, b):
+        # the plain-dict model: nonzero multiplicities in label order
+        return {label: op(a.get(label, 0), b.get(label, 0)) for label in labels
+                if op(a.get(label, 0), b.get(label, 0))}
+
+    f, g = VirtualCharacter(params, m1), VirtualCharacter(params, m2)
+    assert list(f.mults.items()) == list(model(add, m1, {}).items())
+    assert (f + g).mults == model(add, m1, m2)
+    assert (f - g).mults == model(sub, m1, m2)
+    assert (-f).mults == model(sub, {}, m1)
+    assert (k * f).mults == model(lambda x, _: k * x, m1, {})
+    assert (f == g) == (model(add, m1, {}) == model(add, m2, {}))
+    if f == g:
+        assert hash(f) == hash(g)
+    dimension = sum(m * char_dim(label) for label, m in m1.items())
+    assert f.dimension == dimension
+    # RO doubles the quaternionic irreducibles, RSp the real ones
+    for ring, doubled in (("RO", -1), ("RSp", 1)):
+        want = all(m % 2 == 0 for label, m in m1.items() if fs_indicator(params, label) == doubled)
+        assert membership(f, ring) == want
+        assert membership(f, ring + "0") == (want and dimension == 0)
+    assert pickle.loads(pickle.dumps(f)) == f
+    if f != VirtualCharacter.zero(params):
+        assert parse_character(params, repr(f)) == f
