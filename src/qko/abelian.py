@@ -4,12 +4,16 @@ Matrices are plain row-major ``list[list[int]]``; Python integers give
 arbitrary precision for free.  The matrices arising here are tiny (at most
 about 12x12) so the classical pivoting algorithm is used, with the
 minimal-absolute-value entry as pivot to keep coefficients small.
+
+A span in (Q/2Z)^n is read straight off the Smith diagonal of its scaled
+generator rows, and a direct sum of cyclic groups is put in invariant-factor
+form by gcd / lcm alone; no integer is ever factored into primes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 IntMatrix = list[list[int]]
@@ -147,19 +151,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatri
     return u, a, v
 
 
-def _prime_factorization(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 class AbelianGroup:
     """A finite abelian group as its invariant factors d1 | d2 | ... , each >= 2.
 
@@ -192,22 +183,19 @@ class AbelianGroup:
 
     @classmethod
     def from_cyclic_orders(cls, orders: Iterable[int]) -> AbelianGroup:
-        """The group ``sum_i Z_{orders[i]}`` in invariant-factor form."""
-        by_prime: dict[int, list[int]] = {}
+        """The group ``sum_i Z_{orders[i]}`` in invariant-factor form, without
+        factoring: by ``Z_a + Z_b = Z_gcd(a,b) + Z_lcm(a,b)`` each order runs
+        down a chain kept largest first, leaving the lcm and carrying the gcd."""
+        chain: list[int] = []
         for n in orders:
             n = int(n)
             if n < 1:
                 raise ValueError(f"cyclic orders must be positive, got {n}")
-            for p, e in _prime_factorization(n).items():
-                by_prime.setdefault(p, []).append(e)
-        for exps in by_prime.values():
-            exps.sort(reverse=True)
-        width = max((len(e) for e in by_prime.values()), default=0)
-        factors = []
-        for slot in range(width):
-            d = prod(p ** exps[slot] for p, exps in by_prime.items() if slot < len(exps))
-            factors.append(d)
-        return cls(sorted(factors))
+            for i, d in enumerate(chain):
+                chain[i], n = lcm(d, n), gcd(d, n)
+            if n > 1:
+                chain.append(n)
+        return cls(reversed(chain))
 
     @property
     def order(self) -> int:
@@ -240,8 +228,10 @@ def quotient_group(generators: Sequence[Sequence[Fraction | int]]) -> AbelianGro
     """Isomorphism type of the subgroup of (Q/2Z)^n spanned by the generators.
 
     Scaling by d, the lcm of all denominators, identifies the subgroup with
-    (L + 2d*Z^n) / 2d*Z^n for the integer row span L; the invariant factors
-    drop out of the Smith form of the stacked matrix [rows; 2d*I].
+    L / (L meet 2d*Z^n) for the integer row span L.  Unimodular row and column
+    operations keep that type, so it is read off the Smith diagonal d_i of the
+    rows alone: the sum of the cyclic groups of order 2d / gcd(2d, d_i).
+    Those orders run down a divisibility chain, largest first.
     """
     gens = [tuple(Fraction(x) % 2 for x in g) for g in generators]
     ambient_dim = len(gens[0]) if gens else 0
@@ -252,13 +242,6 @@ def quotient_group(generators: Sequence[Sequence[Fraction | int]]) -> AbelianGro
 
     d = lcm(*(x.denominator for g in gens for x in g))
     modulus = 2 * d
-    stacked = [[int(x * d) % modulus for x in g] for g in gens]
-    stacked.extend([modulus * e for e in row] for row in identity_matrix(ambient_dim))
-    _, diag, _ = smith_normal_form(stacked)
-    orders = []
-    for i in range(ambient_dim):
-        di = diag[i][i]
-        if modulus % di:
-            raise ArithmeticError(f"Smith pivot {di} does not divide the modulus {modulus}")
-        orders.append(modulus // di)
-    return AbelianGroup.from_cyclic_orders(o for o in orders if o > 1)
+    _, diag, _ = smith_normal_form([[int(x * d) for x in g] for g in gens])
+    orders = [modulus // gcd(modulus, row[i]) for i, row in enumerate(diag[:ambient_dim])]
+    return AbelianGroup(o for o in reversed(orders) if o > 1)

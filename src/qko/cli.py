@@ -193,7 +193,9 @@ def _kgroup_checks(report: KGroupReport) -> list[Check]:
     ]
 
 
-def _kgroup_report(report: KGroupReport, command: str, params_json: dict) -> tuple[dict, str]:
+def _kgroup_report(report: KGroupReport, command: str,
+                   params_json: dict) -> tuple[dict, str, int]:
+    """The JSON and text reports of a ksp / ko job, and its exit code: 1 when a row fails."""
     block_names = ("C", "B") if report.kind == "ko" else ("A", "B")
     results = {
         "group": _group_json(report.group),
@@ -229,23 +231,19 @@ def _kgroup_report(report: KGroupReport, command: str, params_json: dict) -> tup
             lines.append("  " + lbl.ljust(label_width)
                          + "".join(_frac_str(e.rep).ljust(width) for e in row))
     lines += [c.line() for c in checks]
-    return json_report, "\n".join(lines) + "\n"
+    return json_report, "\n".join(lines) + "\n", 0 if all(c.passed for c in checks) else 1
 
 
 def cmd_ksp(args) -> tuple[dict, str, int]:
     params = _params(args.ell, "ksp")
     _bounded("--nu", args.nu, 2, MAX_NU)
-    report = ksp_group(args.nu, params)
-    json_report, text = _kgroup_report(report, "ksp", {"ell": params.ell, "nu": args.nu})
-    return json_report, text, 0
+    return _kgroup_report(ksp_group(args.nu, params), "ksp", {"ell": params.ell, "nu": args.nu})
 
 
 def cmd_ko(args) -> tuple[dict, str, int]:
     params = _params(args.ell, "ko")
     _bounded("--k", args.k, 1, MAX_NU - 1)
-    report = ko_group(args.k, params)
-    json_report, text = _kgroup_report(report, "ko", {"ell": params.ell, "k": args.k})
-    return json_report, text, 0
+    return _kgroup_report(ko_group(args.k, params), "ko", {"ell": params.ell, "k": args.k})
 
 
 def cmd_eta(args) -> tuple[dict, str, int]:

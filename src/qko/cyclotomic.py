@@ -273,7 +273,8 @@ class Mod2Z:
     def __init__(self, value: Scalar) -> None:
         if not isinstance(value, (int, Fraction)):
             raise TypeError(f"a residue needs an int or a Fraction, got {value!r}")
-        object.__setattr__(self, "rep", Fraction(value) % 2)
+        rep = value % 2 if isinstance(value, Fraction) else Fraction(value % 2)
+        object.__setattr__(self, "rep", rep)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Mod2Z values are immutable")

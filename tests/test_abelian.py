@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +126,40 @@ def test_abelian_group_merge():
     assert str(AbelianGroup(())) == "0"
 
 
+def prime_power_invariant_factors(orders):
+    """Reference canonical form: split each order into prime powers, sort each
+    prime's exponents largest first, and multiply the k-th exponents of all
+    primes into the k-th largest invariant factor."""
+    by_prime = {}
+    for n in orders:
+        p = 2
+        while n > 1:
+            if p * p > n:
+                p = n
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                by_prime.setdefault(p, []).append(e)
+            p += 1
+    for exps in by_prime.values():
+        exps.sort(reverse=True)
+    width = max((len(e) for e in by_prime.values()), default=0)
+    return tuple(sorted(prod(p ** exps[k] for p, exps in by_prime.items() if k < len(exps))
+                        for k in range(width)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.integers(1, 500), max_size=8), st.integers(-3, 0))
+def test_from_cyclic_orders_matches_prime_power_reference(orders, bad):
+    group = AbelianGroup.from_cyclic_orders(orders)
+    assert group.invariant_factors == prime_power_invariant_factors(orders)
+    assert group.order == prod(orders)
+    with pytest.raises(ValueError, match="positive"):
+        AbelianGroup.from_cyclic_orders(orders + [bad])
+
+
 def test_quotient_single_generator_7_4():
     # multiples of 7/4 mod 2 form a cyclic group of order 8
     assert quotient_group([(Fraction(7, 4),)]) == AbelianGroup((8,))
@@ -207,12 +241,13 @@ def test_quotient_matches_brute_force_n2():
 @st.composite
 def spans(draw):
     """1-3 generators of one length 1-3 over a common denominator d, often
-    with the odd prime factors 3, 5 and 7; the span has at most (2d)^length
+    with the odd prime factors 3, 5 and 7, and with numerators in [-4d, 4d),
+    so unreduced and negative entries too; the span has at most (2d)^length
     elements, kept at desk scale."""
     length = draw(st.integers(1, 3))
     d = draw(st.sampled_from([d for d in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 24)
                               if (2 * d) ** length <= 3000]))
-    return [tuple(Fraction(draw(st.integers(0, 2 * d - 1)), d) for _ in range(length))
+    return [tuple(Fraction(draw(st.integers(-4 * d, 4 * d - 1)), d) for _ in range(length))
             for _ in range(draw(st.integers(1, 3)))]
 
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from qko import cli
 from qko.cli import _kgroup_report, main, parse_character, render_json, UsageError
 from qko.groups import GroupParams, VirtualCharacter, delta_power, theta
 from qko.ktheory import ksp_group
@@ -57,11 +58,27 @@ def test_ksp_json(capsys):
 
 def test_failing_kgroup_row_reports_expected_and_got():
     report = ksp_group(2, GroupParams(8))._replace(ahss_bound=7)
-    json_report, text = _kgroup_report(report, "ksp", {"ell": 8, "nu": 2})
+    json_report, text, code = _kgroup_report(report, "ksp", {"ell": 8, "nu": 2})
+    assert code == 1
     row = json_report["checks"][0]
     assert row == {"name": "ksp/order-vs-bound", "passed": False,
                    "expected": "7", "actual": str(report.order)}
     assert f"FAIL ksp/order-vs-bound: expected 7, got {report.order}\n" in text
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("ksp", "--ell", "8", "--nu", "2"), "ksp_group"),
+    (("ko", "--ell", "8", "--k", "1"), "ko_group"),
+])
+def test_failing_kgroup_row_sets_exit_code(capsys, monkeypatch, argv, name):
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: real(*args)._replace(ahss_bound=7))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert f"FAIL {argv[0]}/order-vs-bound: expected 7, got 128\n" in out
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert not json.loads(out)["checks"][0]["passed"]
 
 
 def test_ko_json(capsys):

@@ -118,10 +118,10 @@ def test_untwisted_theta_on_minimal_space():
 
 def test_theta_delta_pairings_vanish():
     for params in (P8, P16, P32):
-        for nu in (2, 3, 4):
+        for nu in (2, 3, 4, 5):
             space = quaternion_space(params, nu)
             for i in (1, 2):
-                for r in range(1, 5):
+                for r in range(1, 6):
                     assert eta_pair(space, theta(i, params), delta_power(r, params)).exact == 0
                     assert eta_pair(space, delta_power(r, params), theta(i, params)).exact == 0
                 assert eta_pair(space, theta(i, params)).exact == 0
@@ -140,6 +140,8 @@ def test_dimension_zero_required():
     rho0 = VirtualCharacter.irreducible(P8, "rho0")
     with pytest.raises(NotReducedError):
         eta_pair(quaternion_space(P8, 2), rho0)
+    with pytest.raises(NotReducedError):
+        eta_pair(quaternion_space(P8, 2), rho0, rho0)  # Delta^0 paired with Delta^0
     # but a nonzero-dimension bundle class is fine
     assert eta_pair(quaternion_space(P8, 2), theta(1, P8), rho0).exact == 0
 

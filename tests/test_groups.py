@@ -257,6 +257,12 @@ def test_theta_values_and_decompositions():
     assert theta(2, P16) == VirtualCharacter(P16, {"kappa2": 1, "kappa1": 1, "gamma2": -1})
     expected = {"kappa2": 1, "kappa3": 1, "gamma2": -1, "gamma4": 1, "gamma6": -1}
     assert theta(1, P32) == VirtualCharacter(P32, expected)
+    for params in ALL[1:]:
+        # past ell = 8: kappa2 and one more 1-dimensional character, then the
+        # even gamma_(2i) with alternating signs (-1)^i for 2i < ell/4
+        tail = {f"gamma{2 * i}": (-1) ** i for i in range(1, params.ell // 8)}
+        assert theta(1, params) == VirtualCharacter(params, {"kappa2": 1, "kappa3": 1, **tail})
+        assert theta(2, params) == VirtualCharacter(params, {"kappa2": 1, "kappa1": 1, **tail})
     for params in ALL:
         for i in (1, 2):
             assert theta(i, params).dimension == 0

@@ -128,7 +128,7 @@ def test_matrix_c_order_8_entries():
 def test_matrix_c_span_larger_orders():
     # the computed block is row-equivalent to the printed scaled identity
     for params in (P16, P32):
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             c = ko_group(k, params).a_matrix
             coeff = (2 if k % 2 == 0 else 1) * Fraction(1, 2 ** k)
             printed = [[coeff, Fraction(0)], [Fraction(0), coeff]]
@@ -222,6 +222,7 @@ def test_splitting_block_pattern():
             assert degree % 8 in (3, 7)
             assert 2 * n + 2 == theta_block_exponent(k + 1)
             assert ko_group(k, params).a_block == AbelianGroup((2 ** (2 * n + 2),) * 2)
+            assert ksp_group(k + 1, params).a_block == AbelianGroup((2 ** (2 * n + 2),) * 2)
 
 
 def test_structure_check_rows():
@@ -282,8 +283,11 @@ def test_blocks_against_brute_force_enumeration():
     assert brute_force_span(report.a_matrix.rows()) == AbelianGroup((4, 4))
     assert brute_force_span(report.b_matrix.rows()) == AbelianGroup((8,))
     ko_report = ko_group(1, P8)
-    assert brute_force_span(ko_report.a_matrix.rows()) == AbelianGroup((4, 4))
-    assert brute_force_span(ko_report.b_matrix.rows()) == AbelianGroup((8,))
+    a_oracle = brute_force_span(ko_report.a_matrix.rows())
+    b_oracle = brute_force_span(ko_report.b_matrix.rows())
+    assert a_oracle == AbelianGroup((4, 4))
+    assert b_oracle == AbelianGroup((8,))
+    assert a_oracle.direct_sum(b_oracle) == ko_report.group == AbelianGroup((4, 4, 8))
 
 
 def test_input_validation():
