@@ -231,9 +231,13 @@ def quotient_group(generators: Sequence[Sequence[Fraction | int]]) -> AbelianGro
     L / (L meet 2d*Z^n) for the integer row span L.  Unimodular row and column
     operations keep that type, so it is read off the Smith diagonal d_i of the
     rows alone: the sum of the cyclic groups of order 2d / gcd(2d, d_i).
-    Those orders run down a divisibility chain, largest first.
+    Those orders run down a divisibility chain, largest first.  Entries must be
+    ``int`` or :class:`~fractions.Fraction`; anything else raises ``TypeError``.
     """
-    gens = [tuple(Fraction(x) % 2 for x in g) for g in generators]
+    gens = [tuple(g) for g in generators]
+    if not all(isinstance(x, (int, Fraction)) for g in gens for x in g):
+        raise TypeError("generator entries must be int or Fraction")
+    gens = [tuple(x % 2 for x in g) for g in gens]
     ambient_dim = len(gens[0]) if gens else 0
     if any(len(g) != ambient_dim for g in gens):
         raise DimensionMismatchError("generators have inconsistent lengths")

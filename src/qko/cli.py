@@ -43,7 +43,7 @@ SCHEMA = "qko/1"
 # group is built.  Per doubling of ell, ksp / ko / eta cost 2-3x more, the
 # character table ((ell/4 + 3)^2 values) about 5x and verify's class-value
 # oracles about 4x.  On one CPU of a 2.1 GHz Xeon, chartable --ell 512
-# takes about 0.4 s and 19 MB, and each command at its limit under 6 s and 30 MB.
+# takes about 0.4 s and 19 MB, and each command at its limit under 3 s and 20 MB.
 MAX_ELL = {"chartable": 512, "ksp": 4096, "ko": 4096, "eta": 4096, "verify": 128}
 MAX_NU = 16  # nu of ksp / eta and verify's --max-nu; k and --max-k stop at MAX_NU - 1
 MAX_DIGITS = 100  # per number in a character expression; eta stays cheap and printable

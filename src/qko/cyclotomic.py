@@ -203,18 +203,6 @@ class Cyclo:
         nums, den = _inverse(self.nums)  # 1 / (nums / den) = den * (1 / nums)
         return _make(self.conductor, [x * self.den for x in nums], den)
 
-    def galois(self, t: int) -> Cyclo:
-        """The image under the field automorphism zeta -> zeta^t, t odd."""
-        m, n = self.conductor, self.conductor // 2
-        out = [0] * n
-        for i, c in enumerate(self.nums):
-            e = i * t % m
-            if e < n:
-                out[e] += c
-            else:
-                out[e - n] -= c
-        return _make(m, out, self.den)
-
     # -- predicates and extraction -----------------------------------------
 
     def is_zero(self) -> bool:

@@ -24,11 +24,10 @@ The vector is summed over Galois orbits rather than classes.  The rotations
 of H of one order M >= 4 form an orbit of zeta -> zeta^t (t odd), which
 carries chi(h) / det(I - tau(h)) to its conjugates, so their sum is a field
 trace: M/2 times the constant coefficient of that quotient at one rotation,
-in the field of conductor M.  One tower inverse per order serves every tau,
-since the factor of the summand gamma_u is the conjugate zeta -> zeta^u of
-the factor of gamma_1.  The other classes are rational: det(I - tau) is 4^nu
-at -1 and 2^nu at the reflections xi^a J.  Every value is exact and rational
-by construction.
+in the field of conductor M, so each order costs one determinant and one
+tower inverse, whatever tau is.  The other classes are rational: det(I - tau)
+is 4^nu at -1 and 2^nu at the reflections xi^a J.  Every value is exact and
+rational by construction.
 """
 
 from __future__ import annotations
@@ -115,27 +114,12 @@ class EtaValue(NamedTuple):
         return EtaValue.from_exact(self.exact - other.exact)
 
 
-@lru_cache(maxsize=None)
-def _factor_inverse(params: GroupParams, order: int) -> Cyclo:
-    """det(I - gamma_1(g))^(-1) at the rotation g = xi^(ell/(2*order)) of the
-    given order >= 4, in the field of conductor ``order`` that holds it."""
-    step = params.half // order
-    det = det_I_minus(standard_fpf(params, 1), GroupElement(step, 0))
+def _inverse_det(tau: FpfRep, order: int) -> Cyclo:
+    """det(I - tau(g))^(-1) at the rotation g = xi^(ell/(2*order)) of the given
+    order >= 4, in the field of conductor ``order`` that holds it."""
+    step = tau.params.half // order
+    det = det_I_minus(tau, GroupElement(step, 0))
     return Cyclo(order, det.nums[::step]).inverse() * det.den
-
-
-@lru_cache(maxsize=None)
-def _inverse_det_values(params: GroupParams, order: int, summands: tuple[int, ...]) -> Cyclo:
-    # det(I - tau(g))^(-1) at the rotation g of the given order, for the
-    # summands in ascending order: the product of the conjugates zeta ->
-    # zeta^u of one factor.  Cached, with every prefix, because every twist
-    # and every space whose summands share a prefix reuse it.
-    last = _factor_inverse(params, order)
-    if summands[-1] != 1:
-        last = last.galois(summands[-1])
-    if len(summands) == 1:
-        return last
-    return _inverse_det_values(params, order, summands[:-1]) * last
 
 
 def _shifted_constant(y: Cyclo, j: int) -> int:
@@ -155,8 +139,8 @@ def _eta_numerators(params: GroupParams, subgroup: Subgroup,
     # H meets every rotation of each order it meets, since it is a subgroup;
     # each one contains -1, the element of order 2
     orders = sorted({half // gcd(h.a, half) for h in members if not h.b and h.a} - {2})
-    key = tuple(sorted(summands))
-    levels = [(m, _inverse_det_values(params, m, key)) for m in orders]
+    tau = FpfRep(params, summands)
+    levels = [(m, _inverse_det(tau, m)) for m in orders]
     common = lcm(4 ** nu, *(y.den for _, y in levels))
     # each level's trace M/2 times its constant coefficient, over common
     levels = [(m, m // 2 * (common // y.den), y) for m, y in levels]

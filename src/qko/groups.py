@@ -480,10 +480,12 @@ class FpfRep(namedtuple("FpfRep", "params summands")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, params: GroupParams, summands: Iterable[int]) -> FpfRep:
-        summands = tuple(int(s) for s in summands)
+        summands = tuple(summands)
         if not summands:
             raise ValueError("a fixed point free representation needs at least one summand")
         for s in summands:
+            if not isinstance(s, int):
+                raise TypeError(f"summand index {s!r} is not an int")
             if s % 2 == 0:
                 raise ValueError(f"summand index {s} is even, so the action has fixed points")
         return super().__new__(cls, params, summands)

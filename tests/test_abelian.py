@@ -1,6 +1,7 @@
 """Smith normal form, lattice quotients and invariant-factor bookkeeping."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, prod
 
@@ -178,6 +179,16 @@ def test_quotient_lens_rows_order_16():
 def test_quotient_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         quotient_group([(Fraction(1, 2),), (Fraction(1, 2), Fraction(1, 4))])
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2", Decimal("0.5"), None],
+                         ids=["float", "str", "Decimal", "None"])
+def test_quotient_refuses_inexact_entries(bad):
+    # nothing may round: "1/2" once spanned Z4 and 0.1 a cyclic group of order 2^56
+    for gens in ([(bad,)], [(Fraction(1, 2), 0), (1, bad)]):
+        with pytest.raises(TypeError):
+            quotient_group(gens)
+    assert quotient_group([(1, Fraction(1, 2))]) == AbelianGroup((4,))
 
 
 def test_brute_force_oracle_sanity():

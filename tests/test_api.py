@@ -89,7 +89,9 @@ def test_replace_on_a_checked_record_runs_its_checks():
         FpfRep(params, (1,))._replace(summands=(2,))
     with pytest.raises(ValueError, match="z_factor must be >= 0"):
         quaternion_space(params, 2)._replace(z_factor=-1)
-    assert FpfRep(params, (1,))._replace(summands=[3.0]).summands == (3,)
+    with pytest.raises(TypeError, match="not an int"):
+        FpfRep(params, (1,))._replace(summands=[3.0])
+    assert FpfRep(params, (1,))._replace(summands=[3]).summands == (3,)
 
 
 def test_no_module_imports_a_name_it_does_not_use():

@@ -3,14 +3,16 @@
 The engine multiplies characters by their fusion rules and pairs them with
 one rational eta vector per space, summed over Galois orbits; the oracles in
 ``qko.oracles`` evaluate the same quantities from class values.  These tests
-compare the two, count the tower inverses the engine makes, and check that
-no K-group computation reaches an oracle.
+compare the two, check that an eta vector does not depend on how tau is
+written, count the tower inverses the engine makes (one per tau and rotation
+order), and check that no K-group computation reaches an oracle.
 """
 
 import ast
 import random
 import sys
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, log2
 from pathlib import Path
 
@@ -54,6 +56,22 @@ def test_eta_vector_matches_class_sum(ell):
         for subgroup in Subgroup:
             assert eta_vector(params, subgroup, summands) == \
                 oracles.eta_vector(params, subgroup, summands), (summands, subgroup)
+
+
+@pytest.mark.parametrize("ell", ELLS)
+def test_eta_vector_does_not_depend_on_how_tau_is_written(ell):
+    """No oracle: the vector is the same for every way of writing tau, since
+    reordering the summands permutes the blocks of tau(h), and gamma_(-u) and
+    gamma_(u + ell/2) are both conjugate to gamma_u."""
+    params = GroupParams(ell)
+    for summands in TAUS:
+        variants = set(permutations(summands))
+        for i, u in enumerate(summands):
+            variants |= {summands[:i] + (v,) + summands[i + 1:] for v in (-u, u + ell // 2)}
+        for subgroup in Subgroup:
+            want = eta_vector(params, subgroup, summands)
+            for variant in variants:
+                assert eta_vector(params, subgroup, variant) == want, (subgroup, variant)
 
 
 @st.composite
@@ -144,21 +162,39 @@ def test_fusion_product_is_the_pointwise_product(case):
 
 @pytest.mark.parametrize("ell", (16, 32, 64, 128, 256))
 def test_inverse_count(ell, monkeypatch):
+    """One tower inverse per tau and rotation order >= 4 of the eta vectors a
+    job needs, each in the field whose conductor is that order."""
     params = GroupParams(ell)
-    calls = []
-    real = Cyclo.inverse
+    # the rotation orders >= 4 of each subgroup: 4 to ell/2 in the full group,
+    # 4 in <I>, and none in <J> or <xi*J>, whose only rotation is -1
+    orders = {Subgroup.FULL: [2 ** k for k in range(2, int(log2(ell)))],
+              Subgroup.GEN_I: [4], Subgroup.GEN_J: [], Subgroup.GEN_XI_J: []}
+    calls, vectors = [], set()
+    real_inverse, real_numerators = Cyclo.inverse, eta._eta_numerators
 
     def counted(self):
         calls.append(self.conductor)
-        return real(self)
+        return real_inverse(self)
 
+    def recorded(*key):
+        vectors.add(key[1:])
+        return real_numerators(*key)
+
+    recorded.cache_clear = real_numerators.cache_clear
     monkeypatch.setattr(Cyclo, "inverse", counted)
-    bound = log2(ell // 4) + 3
-    _clear_caches()
-    ksp_group(4, params)
-    assert len(calls) <= bound, calls
-    # one tower inverse per order of rotation, 4 to ell/2
-    assert sorted(calls) == [2 ** k for k in range(2, int(log2(ell)))]
+    monkeypatch.setattr(eta, "_eta_numerators", recorded)
+    full = Subgroup.FULL
+    # ksp_group(4) needs three vectors of the full group, so three inverses at each order
+    jobs = ((lambda: ksp_group(4, params), {(full, (1,)), (full, (1,) * 2), (full, (1,) * 4)}),
+            (lambda: ko_group(3, params), {(full, (1,)), (full, (1,) * 2), (full, (1,) * 3)}
+             | {(subgroup, (1,) * 3) for subgroup in Subgroup if subgroup is not full}))
+    for job, want in jobs:
+        _clear_caches()
+        calls.clear()
+        vectors.clear()
+        job()
+        assert vectors == want
+        assert sorted(calls) == sorted(m for subgroup, _ in want for m in orders[subgroup])
 
     # the order-4 subgroups: only <I> has rotations other than -1, of order 4
     for subgroup, want in ((Subgroup.GEN_I, [4]), (Subgroup.GEN_J, []),
@@ -167,10 +203,6 @@ def test_inverse_count(ell, monkeypatch):
         calls.clear()
         eta_vector(params, subgroup, (1, 1, 1))
         assert calls == want, subgroup
-    _clear_caches()
-    calls.clear()
-    ko_group(3, params)
-    assert len(calls) <= bound, calls
 
 
 def test_k_groups_never_reach_an_oracle(monkeypatch, capsys):

@@ -79,3 +79,19 @@ def test_verify_warm_job_matches_pinned_sha256(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "9a41b6821dd3e56c9611d0a8b721252c00b42abb544c0a6f67e921b0d63918d2"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("argv, digest", [
+    (("ksp", "--ell", "4096", "--nu", "16"),
+     "129ca408fbb35d65620da48941ade4fa8712da202a7b279ad3f81f6bb3555bca"),
+    (("ko", "--ell", "4096", "--k", "15"),
+     "6d812d947d35bcb0c9420ad5a7b286665588ca721280e7bf8589ab3325c719c0"),
+], ids=["ksp", "ko"])
+def test_k_group_at_the_input_limit_matches_pinned_sha256(argv, digest, capsys):
+    """ksp and ko at the input limits, ell = 4096: the digests pin the output as
+    it was when each tau's inverse determinant was a product of conjugates of
+    one inverted factor."""
+    assert main([*argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -392,6 +392,14 @@ def test_fixed_point_free_criterion():
         FpfRep(P8, ())
 
 
+@pytest.mark.parametrize("summands", [(1.5,), (1.9, 1), ("3",), (1, Fraction(3))],
+                         ids=["float", "float-and-int", "str", "Fraction"])
+def test_fpf_rep_refuses_non_int_summands(summands):
+    # a summand is not truncated: (1.9, 1) once became the standard tau
+    with pytest.raises(TypeError):
+        FpfRep(P8, summands)
+
+
 def test_virtual_character_algebra():
     t = theta(1, P8)
     d = delta(P8)
