@@ -25,7 +25,7 @@ from .groups import (
     Subgroup,
     VirtualCharacter,
     char_dim,
-    char_value,
+    char_strings,
     conjugacy_classes,
     delta_power,
     fs_indicator,
@@ -41,9 +41,10 @@ SCHEMA = "qko/1"
 
 # The largest inputs each command accepts; past them it exits 2 before any
 # group is built.  Per doubling of ell, ksp / ko / eta cost 2-3x more, the
-# character table ((ell/4 + 3)^2 values) about 5x and verify's class-value
-# oracles about 4x.  On one CPU of a 2.1 GHz Xeon, chartable --ell 512
-# takes about 0.4 s and 19 MB, and each command at its limit under 3 s and 20 MB.
+# character table's own work ((ell/4 + 3)^2 short strings) 2-4x and verify's
+# class-value oracles about 4x.  On one CPU of a 2.1 GHz Xeon, chartable
+# --ell 512 takes about 0.13 s and 20 MB, most of it interpreter start-up,
+# and each command at its limit under 3 s and 20 MB.
 MAX_ELL = {"chartable": 512, "ksp": 4096, "ko": 4096, "eta": 4096, "verify": 128}
 MAX_NU = 16  # nu of ksp / eta and verify's --max-nu; k and --max-k stop at MAX_NU - 1
 MAX_DIGITS = 100  # per number in a character expression; eta stays cheap and printable
@@ -153,7 +154,7 @@ def cmd_chartable(args) -> tuple[dict, str, int]:
 
     rows = []
     for label in labels:
-        values = [str(char_value(params, label, rep)) for rep, _ in classes]
+        values = char_strings(params, label)
         rows.append({"label": label, "dim": char_dim(label),
                      "fs": fs[label], "type": kind[fs[label]], "values": values})
 

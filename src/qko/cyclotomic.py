@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -79,6 +79,26 @@ def _make(conductor: int, nums: Sequence[int], den: int) -> Cyclo:
     object.__setattr__(value, "nums", tuple(nums))
     object.__setattr__(value, "den", den)
     return value
+
+
+def _format_terms(conductor: int, terms: Iterable[tuple[int, Scalar]]) -> str:
+    """The sum of c * zeta^i over the (i, c) pairs, each c nonzero, in the order
+    given: ``c`` for i = 0, then ``z{m}``, ``-z{m}^i`` or ``c*z{m}^i``, joined by
+    `` + `` and `` - ``; ``0`` when there are no terms."""
+    text = ""
+    for i, c in terms:
+        if i == 0:
+            term = str(c)
+        else:
+            sym = f"z{conductor}" if i == 1 else f"z{conductor}^{i}"
+            term = sym if c == 1 else f"-{sym}" if c == -1 else f"{c}*{sym}"
+        if not text:
+            text = term
+        elif term.startswith("-"):
+            text += f" - {term[1:]}"
+        else:
+            text += f" + {term}"
+    return text or "0"
 
 
 class Cyclo:
@@ -232,25 +252,8 @@ class Cyclo:
         return f"Cyclo({self.conductor}, {[str(c) for c in self.coeffs]})"
 
     def __str__(self) -> str:
-        terms = []
-        for i in compress(range(len(self.nums)), self.nums):  # the nonzero numerators only
-            c = Fraction(self.nums[i], self.den)
-            if i == 0:
-                terms.append(str(c))
-                continue
-            sym = f"z{self.conductor}" if i == 1 else f"z{self.conductor}^{i}"
-            if c == 1:
-                terms.append(sym)
-            elif c == -1:
-                terms.append(f"-{sym}")
-            else:
-                terms.append(f"{c}*{sym}")
-        if not terms:
-            return "0"
-        text = terms[0]
-        for t in terms[1:]:
-            text += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return text
+        nonzero = compress(range(len(self.nums)), self.nums)
+        return _format_terms(self.conductor, ((i, Fraction(self.nums[i], self.den)) for i in nonzero))
 
 
 class Mod2Z:

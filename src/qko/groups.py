@@ -18,9 +18,10 @@ their class values: the 1-dimensional characters form a Klein group, a
 gamma_u * gamma_v = gamma_(u+v) + gamma_(u-v), folded back into range.  The
 distinguished classes theta_i and delta^r and the constants c_i are closed
 forms or fusion products; only :mod:`qko.oracles` evaluates a virtual
-character at the classes.  Single character values remain for the character
-table and det(I - tau), each value of gamma_u written straight from its two
-roots of unity.
+character at the classes.  The character table is written from the
+exponents of the at most two roots of unity in each value, and builds no
+cyclotomic number; single :class:`~qko.cyclotomic.Cyclo` character values
+remain for det(I - tau), for :mod:`qko.verify` and for the oracles.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from operator import add, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, _format_terms
 
 
 class InvalidParamsError(ValueError):
@@ -231,6 +232,34 @@ def char_value(params: GroupParams, label: str, g: GroupElement) -> Cyclo:
     if p > 3:
         return gamma_trace(params, p - 3, g)
     return Cyclo.rational(one_dim_sign(p, g.a, g.b), params.conductor)
+
+
+def char_strings(params: GroupParams, label: str) -> list[str]:
+    """The irreducible character's values at the classes, in
+    :func:`conjugacy_classes` order, each written as ``str`` of its
+    :func:`char_value` but from integers alone.
+
+    With m the conductor and n = m/2, gamma_u(xi^a) = zeta^e + zeta^(-e) for
+    e = ua mod m: 2 at e = 0, -2 at e = n, 0 at e = n/2 and 3n/2, and otherwise
+    +-(z^i - z^(n-i)) with i = e mod n, + for e < n, in ascending powers.
+    """
+    p = _position(params, label)
+    classes = conjugacy_classes(params)
+    if p < 4:
+        return [str(one_dim_sign(p, g.a, g.b)) for g, _ in classes]
+    u, m, n = p - 3, params.conductor, params.conductor // 2
+    row = []
+    for g, _ in classes:
+        e = u * g.a % m
+        if g.b or 2 * e in (n, 3 * n):
+            row.append("0")
+        elif e % n == 0:
+            row.append("2" if e == 0 else "-2")
+        else:
+            i, sign = e % n, 1 if e < n else -1
+            terms = ((i, sign), (n - i, -sign)) if 2 * i < n else ((n - i, -sign), (i, sign))
+            row.append(_format_terms(m, terms))
+    return row
 
 
 def det_one_minus_gamma(params: GroupParams, u: int, g: GroupElement) -> Cyclo:
@@ -472,6 +501,16 @@ def membership(sigma: VirtualCharacter, ring: str) -> bool:
 # Fixed point free representations
 # ---------------------------------------------------------------------------
 
+def _int_summands(summands: Iterable[int]) -> tuple[int, ...]:
+    """The summand indices as a tuple; any that is not an int raises TypeError
+    rather than being truncated."""
+    summands = tuple(summands)
+    for s in summands:
+        if not isinstance(s, int):
+            raise TypeError(f"summand index {s!r} is not an int")
+    return summands
+
+
 class FpfRep(namedtuple("FpfRep", "params summands")):
     """A direct sum of 2-dimensional representations indexed by odd integers, acting
     freely on the unit sphere in C^(2*nu): a named tuple checked when built."""
@@ -480,12 +519,10 @@ class FpfRep(namedtuple("FpfRep", "params summands")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, params: GroupParams, summands: Iterable[int]) -> FpfRep:
-        summands = tuple(summands)
+        summands = _int_summands(summands)
         if not summands:
             raise ValueError("a fixed point free representation needs at least one summand")
         for s in summands:
-            if not isinstance(s, int):
-                raise TypeError(f"summand index {s!r} is not an int")
             if s % 2 == 0:
                 raise ValueError(f"summand index {s} is even, so the action has fixed points")
         return super().__new__(cls, params, summands)
@@ -512,7 +549,7 @@ def det_I_minus(tau: FpfRep, g: GroupElement) -> Cyclo:
 
 def is_fixed_point_free(params: GroupParams, summands: Iterable[int]) -> bool:
     """True iff det(I - rep(g)) is nonzero for every g != 1 (no parity assumption)."""
-    summands = tuple(int(s) for s in summands)
+    summands = _int_summands(summands)
     if not summands:
         return False
     for rep, _ in conjugacy_classes(params)[1:]:

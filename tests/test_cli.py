@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from qko import cli
+from qko import cli, cyclotomic
 from qko.cli import _kgroup_report, main, parse_character, render_json, UsageError
 from qko.groups import GroupParams, VirtualCharacter, delta_power, theta
 from qko.ktheory import ksp_group
@@ -36,6 +37,16 @@ def test_chartable_json_class_counts(capsys):
     report = json.loads(out)
     assert len(report["results"]["classes"]) == 7
     assert len(report["results"]["irreducibles"]) == 7
+
+
+def test_chartable_builds_no_cyclotomic_number(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("chartable built a Cyclo")
+    monkeypatch.setattr(cyclotomic, "_make", refuse)
+    monkeypatch.setattr(cyclotomic.Cyclo, "__new__", refuse)
+    code, out, _ = run_cli(capsys, "chartable", "--ell", "64", "--format", "json")
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "chartable_ell64.json").read_text()
 
 
 def test_chartable_invalid_order(capsys):

@@ -62,6 +62,22 @@ def test_chartable_512_matches_pinned_sha256(capsys):
         "7b80a9daac6fcd3d572533bf8d1b1b039c9e533f0aa30b2f7883dabdc1ef0422"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("--ell", "128", "--format", "json"),
+     "8474f058c4578c684f84a97ea75c174c4d97aa0e20bdb42954f99bed58a1d8c2"),
+    (("--ell", "256", "--format", "json"),
+     "2d07c029069b6272eb47abde00efb65e12905ee32fc8f896392b9357224609d9"),
+    (("--ell", "64", "--format", "text"),
+     "09a0d34a5f61ee7e90a31a26a86b3f835cb568b9165685b4c8363a7795757273"),
+], ids=["json-128", "json-256", "text-64"])
+def test_chartable_matches_pinned_sha256(argv, digest, capsys):
+    """The benchmark's chartable sizes and the text table: the digests pin the
+    output as it was when every entry was rendered from a Cyclo."""
+    assert main(["chartable", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_128_matches_pinned_sha256(capsys):
     """verify at its input limit, ell = 128: the digest pins the output as it
     was when each Cyclo still held a tuple of Fractions."""

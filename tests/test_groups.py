@@ -20,6 +20,7 @@ from qko.groups import (
     VirtualCharacter,
     c_constant,
     char_dim,
+    char_strings,
     char_value,
     conjugacy_classes,
     delta,
@@ -170,6 +171,15 @@ def test_gamma_trace_is_the_sum_of_its_two_roots_of_unity(ell):
                 expected = Cyclo.root_of_unity(m, u * g.a) + Cyclo.root_of_unity(m, -u * g.a)
             assert value == expected, (u, g)
             assert sum(1 for c in value.coeffs if c) <= 2
+
+
+@pytest.mark.parametrize("ell", [8, 16, 32, 64, 128, 256, 512])
+def test_char_strings_match_the_rendered_cyclo_values(ell):
+    params = GroupParams(ell)
+    classes = conjugacy_classes(params)
+    for label in irreducible_labels(params):
+        expected = [str(char_value(params, label, rep)) for rep, _ in classes]
+        assert char_strings(params, label) == expected, label
 
 
 def test_full_character_table_order_8():
@@ -398,6 +408,13 @@ def test_fpf_rep_refuses_non_int_summands(summands):
     # a summand is not truncated: (1.9, 1) once became the standard tau
     with pytest.raises(TypeError):
         FpfRep(P8, summands)
+
+
+@pytest.mark.parametrize("summand", [1.5, "3", Fraction(3)], ids=["float", "str", "Fraction"])
+def test_fixed_point_free_test_refuses_non_int_summands(summand):
+    # (1.5,) and ("3",) were once truncated by int() and reported free
+    with pytest.raises(TypeError):
+        is_fixed_point_free(P8, (summand,))
 
 
 def test_virtual_character_algebra():
