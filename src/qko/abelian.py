@@ -237,7 +237,6 @@ def quotient_group(generators: Sequence[Sequence[Fraction | int]]) -> AbelianGro
     gens = [tuple(g) for g in generators]
     if not all(isinstance(x, (int, Fraction)) for g in gens for x in g):
         raise TypeError("generator entries must be int or Fraction")
-    gens = [tuple(x % 2 for x in g) for g in gens]
     ambient_dim = len(gens[0]) if gens else 0
     if any(len(g) != ambient_dim for g in gens):
         raise DimensionMismatchError("generators have inconsistent lengths")
@@ -246,6 +245,7 @@ def quotient_group(generators: Sequence[Sequence[Fraction | int]]) -> AbelianGro
 
     d = lcm(*(x.denominator for g in gens for x in g))
     modulus = 2 * d
-    _, diag, _ = smith_normal_form([[int(x * d) for x in g] for g in gens])
+    _, diag, _ = smith_normal_form([[x.numerator * (d // x.denominator) % modulus for x in g]
+                                    for g in gens])
     orders = [modulus // gcd(modulus, row[i]) for i, row in enumerate(diag[:ambient_dim])]
     return AbelianGroup(o for o in reversed(orders) if o > 1)

@@ -234,6 +234,19 @@ def char_value(params: GroupParams, label: str, g: GroupElement) -> Cyclo:
     return Cyclo.rational(one_dim_sign(p, g.a, g.b), params.conductor)
 
 
+@lru_cache(maxsize=None)
+def _rotation_string(m: int, e: int) -> str:
+    # zeta^e + zeta^(-e) in conductor m, written as char_strings describes
+    n = m // 2
+    if 2 * e in (n, 3 * n):
+        return "0"
+    if e % n == 0:
+        return "2" if e == 0 else "-2"
+    i, sign = e % n, 1 if e < n else -1
+    terms = ((i, sign), (n - i, -sign)) if 2 * i < n else ((n - i, -sign), (i, sign))
+    return _format_terms(m, terms)
+
+
 def char_strings(params: GroupParams, label: str) -> list[str]:
     """The irreducible character's values at the classes, in
     :func:`conjugacy_classes` order, each written as ``str`` of its
@@ -241,25 +254,15 @@ def char_strings(params: GroupParams, label: str) -> list[str]:
 
     With m the conductor and n = m/2, gamma_u(xi^a) = zeta^e + zeta^(-e) for
     e = ua mod m: 2 at e = 0, -2 at e = n, 0 at e = n/2 and 3n/2, and otherwise
-    +-(z^i - z^(n-i)) with i = e mod n, + for e < n, in ascending powers.
+    +-(z^i - z^(n-i)) with i = e mod n, + for e < n, in ascending powers.  The
+    table has at most m distinct such entries, and each is formatted once.
     """
     p = _position(params, label)
     classes = conjugacy_classes(params)
     if p < 4:
         return [str(one_dim_sign(p, g.a, g.b)) for g, _ in classes]
-    u, m, n = p - 3, params.conductor, params.conductor // 2
-    row = []
-    for g, _ in classes:
-        e = u * g.a % m
-        if g.b or 2 * e in (n, 3 * n):
-            row.append("0")
-        elif e % n == 0:
-            row.append("2" if e == 0 else "-2")
-        else:
-            i, sign = e % n, 1 if e < n else -1
-            terms = ((i, sign), (n - i, -sign)) if 2 * i < n else ((n - i, -sign), (i, sign))
-            row.append(_format_terms(m, terms))
-    return row
+    u, m = p - 3, params.conductor
+    return ["0" if g.b else _rotation_string(m, u * g.a % m) for g, _ in classes]
 
 
 def det_one_minus_gamma(params: GroupParams, u: int, g: GroupElement) -> Cyclo:

@@ -17,10 +17,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, NotRationalError, _make, _product
 from .eta import EtaValue, NotReducedError, SpaceForm
 from .groups import (
     FpfRep,
@@ -63,6 +64,28 @@ def class_values(f: VirtualCharacter) -> tuple[Cyclo, ...]:
     zero = Cyclo.zero(f.params.conductor)
     return tuple(sum((m * char_value(f.params, label, rep) for label, m in f.mults.items()), zero)
                  for rep, _ in conjugacy_classes(f.params))
+
+
+def _rational_sum(conductor: int,
+                  terms: Iterable[tuple[int | Fraction, Cyclo, Cyclo | None]]) -> Fraction:
+    # the sum of scale * a * b over the (scale, a, b) terms (b = None for 1),
+    # which must be rational: one numerator vector over the lcm of the
+    # denominators, with no Cyclo per term
+    total, den = [0] * (conductor // 2), 1
+    for scale, a, b in terms:
+        if b is None:
+            nums, d = a.nums, a.den * scale.denominator
+        else:
+            nums, d = _product(a.nums, b.nums), a.den * b.den * scale.denominator
+        common = lcm(den, d)
+        if common != den:
+            total = [x * (common // den) for x in total]
+            den = common
+        factor = scale.numerator * (den // d)
+        total = [x + factor * y for x, y in zip(total, nums)]
+    if any(total[1:]):
+        raise NotRationalError(f"{_make(conductor, total, den)!r} has irrational parts")
+    return Fraction(total[0], den)
 
 
 def _pairing(params: GroupParams, v: Sequence[Cyclo], w: Sequence[Cyclo]) -> Fraction:
@@ -159,10 +182,9 @@ def delta_power(r: int, params: GroupParams) -> VirtualCharacter:
 def c_constant(i: int, params: GroupParams) -> Fraction:
     """(1/ell) * sum over nonidentity g of det(I - gamma1(g))^i, summed over the
     classes; i may be negative."""
-    total = Cyclo.zero(params.conductor)
-    for (_, size), power in zip(conjugacy_classes(params)[1:], _det_powers(i, params)):
-        total = total + size * power
-    return total.to_rational() / params.ell
+    terms = zip(conjugacy_classes(params)[1:], _det_powers(i, params))
+    return _rational_sum(params.conductor,
+                         ((size, power, None) for (_, size), power in terms)) / params.ell
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +207,22 @@ def _class_inverse_dets(params: GroupParams, subgroup: Subgroup, summands: tuple
 def _class_sum(space: SpaceForm, values: Sequence[Cyclo]) -> Fraction:
     # (1/|H|) * sum over the nonidentity h of values[class of h] * det(I - tau(h))^(-1)
     order = len(quaternion_group(space.params).subgroup_elements(space.subgroup))
-    total = Cyclo.zero(space.params.conductor)
-    for idx, weight, det_inv in _class_inverse_dets(space.params, space.subgroup,
-                                                    space.tau.summands):
-        total = total + weight * (values[idx] * det_inv)
-    return total.to_rational() / order
+    dets = _class_inverse_dets(space.params, space.subgroup, space.tau.summands)
+    terms = ((Fraction(weight, order), values[idx], det_inv) for idx, weight, det_inv in dets)
+    return _rational_sum(space.params.conductor, terms)
+
+
+@lru_cache(maxsize=None)
+def _sigma_side(sigma: VirtualCharacter, subgroup: Subgroup, summands: tuple[int, ...]
+                ) -> tuple[tuple[int, Cyclo], ...]:
+    # (class index, (weight/|H|) * sigma(c) * det(I - tau(c))^(-1)) for each class
+    # c met by the nonidentity part of the subgroup: the half of an eta_pair
+    # class sum that every bundle shares
+    params = sigma.params
+    order = len(quaternion_group(params).subgroup_elements(subgroup))
+    values = class_values(sigma)
+    return tuple((idx, values[idx] * det_inv * Fraction(weight, order))
+                 for idx, weight, det_inv in _class_inverse_dets(params, subgroup, summands))
 
 
 def eta_vector(params: GroupParams, subgroup: Subgroup,
@@ -210,8 +243,11 @@ def eta_pair(space: SpaceForm, sigma: VirtualCharacter,
         raise ValueError("characters live over a different group")
     if sigma.dimension != 0:
         raise NotReducedError(f"twisting character has dimension {sigma.dimension}, not 0")
-    values = class_values(sigma)
-    if bundle is not None:
-        values = tuple(x * y for x, y in zip(values, class_values(bundle)))
-    exact = _class_sum(space, values)
+    side = _sigma_side(sigma, space.subgroup, space.tau.summands)
+    if bundle is None:
+        terms = ((1, value, None) for _, value in side)
+    else:
+        bundle_values = class_values(bundle)
+        terms = ((1, value, bundle_values[idx]) for idx, value in side)
+    exact = _rational_sum(space.params.conductor, terms)
     return EtaValue.from_exact(exact * space.a_roof_factor)

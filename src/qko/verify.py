@@ -16,6 +16,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from operator import getitem
 
 from . import oracles
 from .abelian import (
@@ -253,23 +254,27 @@ def _matrix_checks(params: GroupParams, max_nu: int, max_k: int) -> list[Check]:
 # Arithmetic substrate
 # ---------------------------------------------------------------------------
 
-def brute_force_span(generators: list[tuple[Fraction, ...]]) -> AbelianGroup:
+def brute_force_span(generators: list[tuple[Fraction | int, ...]]) -> AbelianGroup:
     """Independent oracle: enumerate the subgroup of (Q/2Z)^n generated by the
     vectors (closure under addition), then read the structure off the sizes of
     the p^k-torsion layers.  Scaled by the common denominator d of the
-    entries, the vectors are integer vectors mod 2d."""
+    entries, the vectors are integer vectors mod 2d, and adding a generator
+    is one lookup per coordinate."""
     if not generators:
         return AbelianGroup.trivial()
-    d = lcm(*(Fraction(x).denominator for g in generators for x in g))
+    d = lcm(*(x.denominator for g in generators for x in g))
     modulus = 2 * d
-    gens = [tuple(int(Fraction(x) * d) % modulus for x in g) for g in generators]
+    residues = list(range(modulus))
+    # tables[k][i][a] = a + (generator k)_i mod 2d
+    shifts = [[x.numerator * (d // x.denominator) % modulus for x in g] for g in generators]
+    tables = [[residues[s:] + residues[:s] for s in g] for g in shifts]
 
-    elements = {(0,) * len(gens[0])}
+    elements = {(0,) * len(generators[0])}
     frontier = list(elements)
     while frontier:
         base = frontier.pop()
-        for g in gens:
-            nxt = tuple((a + b) % modulus for a, b in zip(base, g))
+        for table in tables:
+            nxt = tuple(map(getitem, table, base))
             if nxt not in elements:
                 elements.add(nxt)
                 frontier.append(nxt)
@@ -348,15 +353,14 @@ def _arith_checks() -> list[Check]:
     bad = []
     cases = 0
     while cases < 150:
-        gens = []
-        denominators = []
+        # draw the integers first and build Fractions only for accepted spans
+        draws = []
         for _ in range(rng.randint(1, 3)):
             q1, q2 = rng.randint(1, 16), rng.randint(1, 16)
-            denominators += [q1, q2]
-            gens.append((Fraction(rng.randint(0, 2 * q1 - 1), q1),
-                         Fraction(rng.randint(0, 2 * q2 - 1), q2)))
-        if lcm(*denominators) > 24:  # keep the enumeration oracle at desk scale
-            continue
+            draws.append((rng.randint(0, 2 * q1 - 1), q1, rng.randint(0, 2 * q2 - 1), q2))
+        if lcm(*(q for _, q1, _, q2 in draws for q in (q1, q2))) > 24:
+            continue  # keep the enumeration oracle at desk scale
+        gens = [(Fraction(p1, q1), Fraction(p2, q2)) for p1, q1, p2, q2 in draws]
         if quotient_group(gens) != brute_force_span(gens):
             bad.append(str(gens))
         cases += 1

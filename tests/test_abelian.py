@@ -211,6 +211,17 @@ def test_brute_force_oracle_sanity():
         == AbelianGroup((2, 84))
 
 
+@pytest.mark.parametrize("gens, want", [
+    ([(1, 0)], (2,)),
+    ([(3,)], (2,)),
+    ([(-1, Fraction(1, 2)), (Fraction(3, 4), 0)], (4, 8)),
+    ([(2, Fraction(-5, 3)), (Fraction(1, 2), 4)], (2, 12)),
+], ids=["int-pair", "int-above-2", "mixed", "mixed-even-ints"])
+def test_spans_with_int_entries(gens, want):
+    # plain ints carry .numerator / .denominator like Fractions; both sides scale by them
+    assert quotient_group(gens) == brute_force_span(gens) == AbelianGroup(want)
+
+
 def test_quotient_matches_brute_force_n1():
     for q in range(1, 17):
         for p in range(0, 2 * q):

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qko import cli, eta, oracles
-from qko.cyclotomic import Cyclo
+from qko.cyclotomic import Cyclo, NotRationalError
 from qko.eta import SpaceForm, eta_pair, eta_vector, quaternion_space
 from qko.groups import (
     FpfRep,
@@ -144,6 +144,20 @@ def test_distinguished_characters_match_their_defining_values(ell):
         assert delta_power(r, params) == oracles.delta_power(r, params), r
     for i in range(-5, 21):
         assert c_constant(i, params) == oracles.c_constant(i, params), i
+
+
+@pytest.mark.parametrize("ell", (8, 16, 32))
+def test_integer_class_sums_stay_exact(ell):
+    params = GroupParams(ell)
+    m = params.conductor
+    # zeta at the class of xi, 0 elsewhere: zeta / det(I - tau(xi)) is not real
+    values = [Cyclo.root_of_unity(m) if (rep.a, rep.b) == (1, 0) else Cyclo.zero(m)
+              for rep, _ in conjugacy_classes(params)]
+    with pytest.raises(NotRationalError):
+        oracles._class_sum(quaternion_space(params, 2), values)
+    # the range cvals/parity asks for, and the negative powers
+    for i in range(-5, 41):
+        assert oracles.c_constant(i, params) == c_constant(i, params), i
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

@@ -1,5 +1,8 @@
 """How the verification suite reports failures of the code it checks."""
 
+import hashlib
+import random
+
 import pytest
 
 from qko import oracles, verify
@@ -35,3 +38,35 @@ def test_rationality_check_lets_internal_errors_propagate(monkeypatch):
     _eta_pair_failing_on_nu3(monkeypatch, KeyError("internal"))
     with pytest.raises(KeyError):
         verify._eta_checks(P8, 2)
+
+
+def test_substrate_trials_keep_their_inputs_and_random_stream(monkeypatch):
+    # the Smith-form matrices, the spans handed to the enumeration oracle and
+    # the generator state after the last draw are pinned, so that sharing work
+    # in the trial loop cannot change which trials run
+    matrices, spans, rngs = [], [], []
+    real_snf, real_span = verify.smith_normal_form, verify.brute_force_span
+
+    def snf(mat):
+        matrices.append(repr(mat))
+        return real_snf(mat)
+
+    def span(gens):
+        spans.append(repr(gens))
+        return real_span(gens)
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            rngs.append(self)
+
+    monkeypatch.setattr(verify, "smith_normal_form", snf)
+    monkeypatch.setattr(verify, "brute_force_span", span)
+    monkeypatch.setattr(verify.random, "Random", Recorded)
+    assert all(c.passed for c in verify._arith_checks())
+    assert (len(matrices), len(spans), len(rngs)) == (200, 272 + 150, 1)
+    assert hashlib.sha256("\n".join(matrices).encode()).hexdigest() == (
+        "7a3990dd2b7dc1778a1ae3e1f95cda41a1da6e1b847a8ce594f4452400911d8a")
+    assert hashlib.sha256("\n".join(spans).encode()).hexdigest() == (
+        "b6798d35b113928bf2212a9b557e8bdd732562be1cb4dbdbb07d0c5f458ce3e2")
+    assert rngs[0].getrandbits(64) == 12936391567819795641
