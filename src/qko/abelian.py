@@ -1,9 +1,11 @@
 """Integer-matrix Smith normal form and finite abelian group structure.
 
 Matrices are plain row-major ``list[list[int]]``; Python integers give
-arbitrary precision for free.  The matrices arising here are tiny (at most
-about 12x12) so the classical pivoting algorithm is used, with the
-minimal-absolute-value entry as pivot to keep coefficients small.
+arbitrary precision for free, and any other entry, like any non-int group
+order, raises ``TypeError`` rather than being truncated.  The matrices
+arising here are tiny (at most about 12x12) so the classical pivoting
+algorithm is used, with the minimal-absolute-value entry as pivot to keep
+coefficients small.
 
 A span in (Q/2Z)^n is read straight off the Smith diagonal of its scaled
 generator rows, and a direct sum of cyclic groups is put in invariant-factor
@@ -21,6 +23,16 @@ IntMatrix = list[list[int]]
 
 class DimensionMismatchError(ValueError):
     """Raised when generator vectors do not share a common length."""
+
+
+def _ints(values: Iterable[int], what: str) -> list[int]:
+    """The values as a list; any that is not an int raises TypeError rather
+    than being truncated."""
+    values = list(values)
+    for x in values:
+        if not isinstance(x, int):
+            raise TypeError(f"{what} {x!r} is not an int")
+    return values
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -42,7 +54,7 @@ def matrix_determinant(mat: IntMatrix) -> int:
         return 1
     if any(len(row) != n for row in mat):
         raise ValueError("determinant needs a square matrix")
-    a = [list(map(int, row)) for row in mat]
+    a = [_ints(row, "matrix entry") for row in mat]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -90,7 +102,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatri
     cols = len(mat[0]) if rows else 0
     if any(len(row) != cols for row in mat):
         raise ValueError("matrix rows have unequal lengths")
-    a = [list(map(int, row)) for row in mat]
+    a = [_ints(row, "matrix entry") for row in mat]
     u = identity_matrix(rows)
     v = identity_matrix(cols)
 
@@ -162,7 +174,7 @@ class AbelianGroup:
     __slots__ = ("invariant_factors",)
 
     def __init__(self, factors: Iterable[int]) -> None:
-        fs = tuple(int(d) for d in factors)
+        fs = tuple(_ints(factors, "invariant factor"))
         for d in fs:
             if d < 2:
                 raise ValueError(f"invariant factors must be >= 2, got {d}")
@@ -187,8 +199,7 @@ class AbelianGroup:
         factoring: by ``Z_a + Z_b = Z_gcd(a,b) + Z_lcm(a,b)`` each order runs
         down a chain kept largest first, leaving the lcm and carrying the gcd."""
         chain: list[int] = []
-        for n in orders:
-            n = int(n)
+        for n in _ints(orders, "cyclic order"):
             if n < 1:
                 raise ValueError(f"cyclic orders must be positive, got {n}")
             for i, d in enumerate(chain):

@@ -74,6 +74,8 @@ class SpaceForm(namedtuple("SpaceForm", "params subgroup tau z_factor")):
                 z_factor: int = 0) -> SpaceForm:
         if tau.params != params:
             raise ValueError("tau is defined over a different group")
+        if not isinstance(z_factor, int):
+            raise TypeError(f"z_factor {z_factor!r} is not an int")
         if z_factor < 0:
             raise ValueError(f"z_factor must be >= 0, got {z_factor}")
         return super().__new__(cls, params, subgroup, tau, z_factor)

@@ -13,11 +13,12 @@ closed form the blocks must meet is stated once, in :func:`structure_checks`:
 the group constructors raise on the first row that fails, and ``verify``
 reports the rows.
 
-Coefficient schedules: a generator delta^i carries 2 when i is even and 1
-when i is odd (making it quaternionic); a twist delta^j carries the
-complementary parity when nu is even (real twists) and the same parity when
-nu is odd (quaternionic twists), and the theta twists carry 1 for nu even
-and 2 for nu odd.  The ko-side schedule at degree 4k-1 equals the KSp-side
+Coefficient schedules: theta_1, theta_2 and the even powers of delta are
+real, and the odd powers of delta are quaternionic.  The KSp generators are
+quaternionic, and the twists are real for even nu and quaternionic for odd
+nu.  One rule scales each class into its target structure: by 1 when its
+own structure is the target, and by 2 otherwise, since 2*RO lies in RSp and
+2*RSp in RO.  The ko-side schedule at degree 4k-1 equals the KSp-side
 schedule at nu = k+1.
 """
 
@@ -45,43 +46,34 @@ class StructureMismatchError(RuntimeError):
     """A computed matrix or group contradicts its independently known shape."""
 
 
-def _theta_twist_coeff(nu: int) -> int:
-    return 1 if nu % 2 == 0 else 2
+def _coeff(quaternionic: bool, target: bool) -> int:
+    """1 when a class's own structure (quaternionic or real) is the target
+    structure, and 2 otherwise."""
+    return 1 if quaternionic == target else 2
 
 
-def _delta_twist_coeff(nu: int, j: int) -> int:
-    if nu % 2 == 0:
-        return 2 if j % 2 == 1 else 1
-    return 2 if j % 2 == 0 else 1
-
-
-def _delta_generator_coeff(i: int) -> int:
-    return 2 if i % 2 == 0 else 1
-
-
-def _coeff_label(coeff: int, base: str) -> str:
-    return base if coeff == 1 else f"{coeff}*{base}"
+def _scaled_basis(nu: int, params: GroupParams, quaternionic: bool
+                  ) -> tuple[tuple[str, VirtualCharacter], ...]:
+    # Theta1, Theta2 (real) and Delta^1 .. Delta^(nu-1) (quaternionic exactly
+    # at the odd powers), each scaled by _coeff into the target structure
+    basis = [("Theta1", False, theta(1, params)), ("Theta2", False, theta(2, params))]
+    basis += [(f"Delta^{i}", i % 2 == 1, delta_power(i, params)) for i in range(1, nu)]
+    out = []
+    for base, own, character in basis:
+        c = _coeff(own, quaternionic)
+        out.append((base if c == 1 else f"{c}*{base}", c * character))
+    return tuple(out)
 
 
 def twist_schedule(nu: int, params: GroupParams) -> tuple[tuple[str, VirtualCharacter], ...]:
-    """The nu+1 twisting characters of the eta vector, coefficients included."""
-    ct = _theta_twist_coeff(nu)
-    out = [(_coeff_label(ct, "Theta1"), ct * theta(1, params)),
-           (_coeff_label(ct, "Theta2"), ct * theta(2, params))]
-    for j in range(1, nu):
-        cj = _delta_twist_coeff(nu, j)
-        out.append((_coeff_label(cj, f"Delta^{j}"), cj * delta_power(j, params)))
-    return tuple(out)
+    """The nu+1 twisting characters of the eta vector, coefficients included:
+    real for even nu, quaternionic for odd nu."""
+    return _scaled_basis(nu, params, quaternionic=nu % 2 == 1)
 
 
 def ksp_generators(nu: int, params: GroupParams) -> tuple[tuple[str, VirtualCharacter], ...]:
     """The nu+1 quaternionic virtual bundle classes spanning the KSp image."""
-    out = [("2*Theta1", 2 * theta(1, params)),
-           ("2*Theta2", 2 * theta(2, params))]
-    for i in range(1, nu):
-        ci = _delta_generator_coeff(i)
-        out.append((_coeff_label(ci, f"Delta^{i}"), ci * delta_power(i, params)))
-    return tuple(out)
+    return _scaled_basis(nu, params, quaternionic=True)
 
 
 class EtaMatrix(NamedTuple):
@@ -185,7 +177,7 @@ def ko_order_formula(k: int, params: GroupParams) -> int:
 def _theta_pattern(nu: int, params: GroupParams) -> list[list[Fraction]]:
     """The theta block at nu, and the lens block at nu = k + 1: the pairings
     of 2*Theta_i against the twist coefficient times Theta_j."""
-    scale = 2 * _theta_twist_coeff(nu)
+    scale = 2 * _coeff(False, nu % 2 == 1)
     return [[scale * eta_theta_closed_form(i, j, nu, params) for j in (1, 2)] for i in (1, 2)]
 
 
@@ -194,7 +186,7 @@ def _printed_b_entry(nu: int, i: int, j: int, params: GroupParams) -> Mod2Z:
     on and below the antidiagonal, 0 above it (an even integer there)."""
     if i + j > nu:
         return Mod2Z(0)
-    return Mod2Z(_delta_generator_coeff(i) * _delta_twist_coeff(nu, j)
+    return Mod2Z(_coeff(i % 2 == 1, True) * _coeff(j % 2 == 1, nu % 2 == 1)
                  * c_constant(i + j - nu, params))
 
 

@@ -204,20 +204,12 @@ def _class_inverse_dets(params: GroupParams, subgroup: Subgroup, summands: tuple
                  for idx, weight in sorted(weights.items()))
 
 
-def _class_sum(space: SpaceForm, values: Sequence[Cyclo]) -> Fraction:
-    # (1/|H|) * sum over the nonidentity h of values[class of h] * det(I - tau(h))^(-1)
-    order = len(quaternion_group(space.params).subgroup_elements(space.subgroup))
-    dets = _class_inverse_dets(space.params, space.subgroup, space.tau.summands)
-    terms = ((Fraction(weight, order), values[idx], det_inv) for idx, weight, det_inv in dets)
-    return _rational_sum(space.params.conductor, terms)
-
-
 @lru_cache(maxsize=None)
 def _sigma_side(sigma: VirtualCharacter, subgroup: Subgroup, summands: tuple[int, ...]
                 ) -> tuple[tuple[int, Cyclo], ...]:
     # (class index, (weight/|H|) * sigma(c) * det(I - tau(c))^(-1)) for each class
     # c met by the nonidentity part of the subgroup: the half of an eta_pair
-    # class sum that every bundle shares
+    # class sum that every bundle shares, and alone the summands of eta_vector
     params = sigma.params
     order = len(quaternion_group(params).subgroup_elements(subgroup))
     values = class_values(sigma)
@@ -229,9 +221,10 @@ def eta_vector(params: GroupParams, subgroup: Subgroup,
                summands: tuple[int, ...]) -> tuple[Fraction, ...]:
     """e[chi] = (1/|H|) * sum over h in H - {1} of chi(h) / det(I - tau(h)) for
     each irreducible chi, as a class sum."""
-    space = SpaceForm(params, subgroup, FpfRep(params, summands))
-    return tuple(_class_sum(space, class_values(VirtualCharacter.irreducible(params, label)))
-                 for label in irreducible_labels(params))
+    sides = (_sigma_side(VirtualCharacter.irreducible(params, label), subgroup, summands)
+             for label in irreducible_labels(params))
+    return tuple(_rational_sum(params.conductor, ((1, value, None) for _, value in side))
+                 for side in sides)
 
 
 def eta_pair(space: SpaceForm, sigma: VirtualCharacter,

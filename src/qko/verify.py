@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import getitem
 
 from . import oracles
@@ -256,10 +256,10 @@ def _matrix_checks(params: GroupParams, max_nu: int, max_k: int) -> list[Check]:
 
 def brute_force_span(generators: list[tuple[Fraction | int, ...]]) -> AbelianGroup:
     """Independent oracle: enumerate the subgroup of (Q/2Z)^n generated by the
-    vectors (closure under addition), then read the structure off the sizes of
-    the p^k-torsion layers.  Scaled by the common denominator d of the
-    entries, the vectors are integer vectors mod 2d, and adding a generator
-    is one lookup per coordinate."""
+    vectors (closure under addition), then peel its invariant factors off,
+    largest first, from how many elements each n kills.  Scaled by the common
+    denominator d of the entries, the vectors are integer vectors mod 2d, and
+    adding a generator is one lookup per coordinate."""
     if not generators:
         return AbelianGroup.trivial()
     d = lcm(*(x.denominator for g in generators for x in g))
@@ -279,38 +279,17 @@ def brute_force_span(generators: list[tuple[Fraction | int, ...]]) -> AbelianGro
                 elements.add(nxt)
                 frontier.append(nxt)
 
-    # each element's order, counted once: the p^k-torsion is the elements whose order divides p^k
+    # n kills prod gcd(n, d_i) elements, so with the largest invariant factors
+    # f found, the next is the least n | 2d that kills |rest| * prod gcd(n, f)
     orders = Counter(modulus // gcd(modulus, *e) for e in elements)
-    factors = []
-    remaining = len(elements)
-    p = 2
-    while remaining > 1:
-        if remaining % p:
-            p += 1
-            continue
-        counts = []  # counts[k-1] = #summands with order >= p^k
-        k = 1
-        prev_count = 1
-        while True:
-            count = sum(c for o, c in orders.items() if p ** k % o == 0)
-            layer = count // prev_count
-            if layer == 1:
-                break
-            # layer = p^(number of cyclic summands of order >= p^k)
-            summands = 0
-            while layer > 1:
-                layer //= p
-                summands += 1
-            counts.append(summands)
-            prev_count = count
-            k += 1
-        for depth, c in enumerate(counts, start=1):
-            following = counts[depth] if depth < len(counts) else 0
-            factors.extend([p ** depth] * (c - following))
-        while remaining % p == 0:
-            remaining //= p
-        p += 1
-    return AbelianGroup.from_cyclic_orders(factors)
+    divisors = [n for n in range(1, modulus + 1) if modulus % n == 0]
+    killed = {n: sum(c for o, c in orders.items() if n % o == 0) for n in divisors}
+    factors, rest = [], len(elements)
+    while rest > 1:
+        factors.append(next(n for n in divisors
+                            if killed[n] == rest * prod(gcd(n, f) for f in factors)))
+        rest //= factors[-1]
+    return AbelianGroup(reversed(factors))
 
 
 def _arith_checks() -> list[Check]:

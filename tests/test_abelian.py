@@ -191,6 +191,21 @@ def test_quotient_refuses_inexact_entries(bad):
     assert quotient_group([(1, Fraction(1, 2))]) == AbelianGroup((4,))
 
 
+@pytest.mark.parametrize("call", [
+    lambda bad: AbelianGroup([bad]),
+    lambda bad: AbelianGroup([2, bad]),
+    lambda bad: AbelianGroup.from_cyclic_orders([bad, 4]),
+    lambda bad: smith_normal_form([[1, 0], [0, bad]]),
+    lambda bad: matrix_determinant([[bad]]),
+], ids=["group", "group-second", "cyclic-orders", "smith", "determinant"])
+@pytest.mark.parametrize("bad", [4.7, 2.9, "8", Fraction(7, 2), Fraction(4), Decimal("2")],
+                         ids=["float", "float-low", "str", "Fraction", "Fraction-int", "Decimal"])
+def test_inexact_entries_raise_type_error(call, bad):
+    # nothing truncates: AbelianGroup([4.7]) was once Z4 and AbelianGroup(["8"]) Z8
+    with pytest.raises(TypeError):
+        call(bad)
+
+
 def test_brute_force_oracle_sanity():
     # the oracle itself on groups whose structure is known by inspection
     assert brute_force_span([(Fraction(1, 2),)]) == AbelianGroup((4,))
@@ -209,6 +224,18 @@ def test_brute_force_oracle_sanity():
     assert brute_force_span([(Fraction(1, 7), Fraction(1, 2), Fraction(0)),
                              (Fraction(0), Fraction(1, 2), Fraction(1, 3))]) \
         == AbelianGroup((2, 84))
+
+
+@pytest.mark.parametrize("gens, want", [
+    ([(Fraction(1, 9), 0), (0, Fraction(1, 3))], (6, 18)),
+    ([(Fraction(1, 4), Fraction(1, 3))], (24,)),
+    ([(Fraction(1, 25),), (Fraction(1, 5),)], (50,)),
+    ([(Fraction(1, 9), Fraction(1, 3)), (Fraction(1, 3), 0)], (2, 18)),
+], ids=["Z6xZ18", "Z24", "Z50", "Z2xZ18"])
+def test_span_oracle_peels_factors_in_order(gens, want):
+    # factors sharing the prime 3 at two depths, a cyclic group of mixed
+    # primes, a nested cyclic pair, and a span whose two generators meet
+    assert brute_force_span(gens) == quotient_group(gens) == AbelianGroup(want)
 
 
 @pytest.mark.parametrize("gens, want", [

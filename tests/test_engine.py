@@ -153,8 +153,11 @@ def test_integer_class_sums_stay_exact(ell):
     # zeta at the class of xi, 0 elsewhere: zeta / det(I - tau(xi)) is not real
     values = [Cyclo.root_of_unity(m) if (rep.a, rep.b) == (1, 0) else Cyclo.zero(m)
               for rep, _ in conjugacy_classes(params)]
+    order = len(quaternion_group(params).subgroup_elements(Subgroup.FULL))
+    dets = oracles._class_inverse_dets(params, Subgroup.FULL, (1, 1))
     with pytest.raises(NotRationalError):
-        oracles._class_sum(quaternion_space(params, 2), values)
+        oracles._rational_sum(m, ((Fraction(weight, order), values[idx], det_inv)
+                                  for idx, weight, det_inv in dets))
     # the range cvals/parity asks for, and the negative powers
     for i in range(-5, 41):
         assert oracles.c_constant(i, params) == c_constant(i, params), i

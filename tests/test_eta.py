@@ -165,6 +165,16 @@ def test_z_factor_doubles_for_odd_j():
         quaternion_space(P8, 2, z_factor=-1)
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, Fraction(1), "1", None],
+                         ids=["half", "float-one", "Fraction", "str", "None"])
+def test_z_factor_must_be_an_int(bad):
+    # 0.5 once doubled the untwisted eta invariant, since 0.5 % 2 is truthy
+    with pytest.raises(TypeError):
+        quaternion_space(P8, 2, z_factor=bad)
+    with pytest.raises(TypeError):
+        SpaceForm(P8, Subgroup.FULL, standard_fpf(P8, 2), bad)
+
+
 def test_lens_space_eta_over_each_subgroup():
     # over <I> the support is +-I with value ell/4 and det 2 per summand
     for params, k in ((P8, 1), (P8, 3), (P16, 2)):

@@ -7,7 +7,7 @@ import pytest
 from qko import ktheory
 from qko.abelian import AbelianGroup, quotient_group
 from qko.cyclotomic import Mod2Z
-from qko.groups import GroupParams
+from qko.groups import GroupParams, c_constant, delta_power, theta
 from qko.ktheory import (
     StructureMismatchError,
     ahss_order_bound,
@@ -23,7 +23,6 @@ from qko.ktheory import (
     theta_block_exponent,
     twist_schedule,
 )
-from qko.groups import c_constant
 from qko.verify import brute_force_span
 
 P8 = GroupParams(8)
@@ -41,6 +40,22 @@ def test_twist_schedule_coefficient_pattern():
     assert labels5 == ["2*Theta1", "2*Theta2", "Delta^1", "2*Delta^2", "Delta^3", "2*Delta^4"]
     gens5 = [lbl for lbl, _ in ksp_generators(5, P8)]
     assert gens5 == ["2*Theta1", "2*Theta2", "Delta^1", "2*Delta^2", "Delta^3", "2*Delta^4"]
+    # the coefficients of (Theta_i, Delta^odd, Delta^even): the generators are
+    # quaternionic, the twists real for even nu and quaternionic for odd nu
+    table = {"generators": (2, 1, 2), "twists, nu even": (1, 2, 1), "twists, nu odd": (2, 1, 2)}
+    for params in (P8, GroupParams(4096)):
+        for nu in range(2, 17):
+            twists = table["twists, nu even" if nu % 2 == 0 else "twists, nu odd"]
+            for schedule, (ct, c_odd, c_even) in ((twist_schedule(nu, params), twists),
+                                                  (ksp_generators(nu, params),
+                                                   table["generators"])):
+                want = [("Theta1", ct, theta(1, params)), ("Theta2", ct, theta(2, params))]
+                want += [(f"Delta^{j}", c_odd if j % 2 else c_even, delta_power(j, params))
+                         for j in range(1, nu)]
+                assert len(schedule) == len(want) == nu + 1
+                for (label, character), (base, c, plain) in zip(schedule, want):
+                    assert label == (base if c == 1 else f"{c}*{base}"), (params, nu)
+                    assert character == c * plain, (params, nu, label)
 
 
 def test_matrix_a_order_8_nu_2():
