@@ -20,6 +20,7 @@ from .abelian import AbelianGroup
 from .checks import Check, _check
 from .eta import SpaceForm, eta_pair
 from .groups import (
+    GroupElement,
     GroupParams,
     InvalidParamsError,
     Subgroup,
@@ -30,7 +31,6 @@ from .groups import (
     delta_power,
     fs_indicator,
     irreducible_labels,
-    quaternion_group,
     standard_fpf,
     theta,
 )
@@ -141,9 +141,16 @@ def _bounded(flag: str, value: int, low: int, high: int) -> None:
         raise UsageError(f"{flag} must be in {low}..{high}, got {value}")
 
 
+def element_name(params: GroupParams, g: GroupElement) -> str:
+    """xi^a J^b written as 1, -1, xi^a, J, xi*J or xi^a*J, with a mod ell/2."""
+    a = g.a % params.half
+    if g.b % 2 == 0:
+        return "1" if a == 0 else "-1" if a == params.quarter else f"xi^{a}"
+    return "J" if a == 0 else "xi*J" if a == 1 else f"xi^{a}*J"
+
+
 def cmd_chartable(args) -> tuple[dict, str, int]:
     params = _params(args.ell, "chartable")
-    group = quaternion_group(params)
     classes = conjugacy_classes(params)
     labels = irreducible_labels(params)
 
@@ -160,7 +167,7 @@ def cmd_chartable(args) -> tuple[dict, str, int]:
 
     results = {
         "conductor": params.conductor,
-        "classes": [{"rep": group.element_name(rep), "size": size} for rep, size in classes],
+        "classes": [{"rep": element_name(params, rep), "size": size} for rep, size in classes],
         "irreducibles": rows,
         "spans": {"RO": ro_span, "RSp": rsp_span},
     }

@@ -26,13 +26,14 @@ carries chi(h) / det(I - tau(h)) to its conjugates, so their sum is a field
 trace: M/2 times the constant coefficient of that quotient at one rotation,
 in the field of conductor M, so each order costs one determinant and one
 tower inverse, whatever tau is.  The other classes are rational: det(I - tau)
-is 4^nu at -1 and 2^nu at the reflections xi^a J.  Every value is exact and
-rational by construction.
+is 4^nu at -1 and 2^nu at the reflections xi^a J.  So a subgroup enters only
+through its order, rotation orders and reflections of each parity, in
+closed form.  Every value is exact and rational by construction.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -49,7 +50,6 @@ from .groups import (
     det_I_minus,
     irreducible_labels,
     one_dim_sign,
-    quaternion_group,
     standard_fpf,
 )
 
@@ -74,6 +74,8 @@ class SpaceForm(namedtuple("SpaceForm", "params subgroup tau z_factor")):
                 z_factor: int = 0) -> SpaceForm:
         if tau.params != params:
             raise ValueError("tau is defined over a different group")
+        if not isinstance(subgroup, Subgroup):
+            raise TypeError(f"subgroup {subgroup!r} is not a Subgroup")
         if not isinstance(z_factor, int):
             raise TypeError(f"z_factor {z_factor!r} is not an int")
         if z_factor < 0:
@@ -131,29 +133,39 @@ def _shifted_constant(y: Cyclo, j: int) -> int:
     return y.nums[e] if e < n else -y.nums[e - n]
 
 
+def _subgroup_shape(params: GroupParams, subgroup: Subgroup
+                    ) -> tuple[int, tuple[int, ...], tuple[int, int]]:
+    """|H|, the orders M >= 4 of its rotations xi^a (it holds every rotation of
+    each order it meets) and its numbers of reflections xi^a J with a even and
+    odd: every order 4, ..., ell/2 and ell/4 of each parity in the full group;
+    <I> = {+-1, +-I} has order 4; <J> = {+-1, +-J} and <xi*J> = {+-1, +-xi*J}
+    hold two of the parity of J, resp. xi*J, as -J = xi^(ell/4) J, ell/4 even."""
+    if subgroup is Subgroup.FULL:
+        q = params.quarter
+        return params.ell, tuple(1 << k for k in range(2, params.ell.bit_length() - 1)), (q, q)
+    return {Subgroup.GEN_I: (4, (4,), (0, 0)), Subgroup.GEN_J: (4, (), (2, 0)),
+            Subgroup.GEN_XI_J: (4, (), (0, 2))}[subgroup]
+
+
 @lru_cache(maxsize=None)
 def _eta_numerators(params: GroupParams, subgroup: Subgroup,
                     summands: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     # The eta vector as int numerators over one positive int denominator in lowest
     # terms: each term over the lcm of 4^nu (2^nu divides it) and the levels' y.den.
-    members = quaternion_group(params).subgroup_elements(subgroup)
+    order, orders, reflections = _subgroup_shape(params, subgroup)
     half, nu = params.half, len(summands)
-    # H meets every rotation of each order it meets, since it is a subgroup;
-    # each one contains -1, the element of order 2
-    orders = sorted({half // gcd(h.a, half) for h in members if not h.b and h.a} - {2})
     tau = FpfRep(params, summands)
     levels = [(m, _inverse_det(tau, m)) for m in orders]
     common = lcm(4 ** nu, *(y.den for _, y in levels))
     # each level's trace M/2 times its constant coefficient, over common
     levels = [(m, m // 2 * (common // y.den), y) for m, y in levels]
-    reflections = Counter(h.a % 2 for h in members if h.b)
     # det(I - tau) is 4^nu at -1 and 2^nu at every reflection xi^a J
     at_minus_one, at_reflection = common // 4 ** nu, common // 2 ** nu
     nums = []
     for p in range(len(irreducible_labels(params))):
         if p < 4:
             total = at_minus_one + at_reflection * sum(one_dim_sign(p, a, 1) * count
-                                                       for a, count in reflections.items())
+                                                       for a, count in enumerate(reflections))
             # the rotation of order m is xi^(half/m)
             total += sum(scale * one_dim_sign(p, half // m, 0) * y.nums[0]
                          for m, scale, y in levels)
@@ -163,7 +175,7 @@ def _eta_numerators(params: GroupParams, subgroup: Subgroup,
             total += sum(scale * (_shifted_constant(y, u) + _shifted_constant(y, -u))
                          for _, scale, y in levels)
         nums.append(total)
-    den = common * len(members)
+    den = common * order
     g = gcd(den, *nums)
     return tuple(x // g for x in nums), den // g
 

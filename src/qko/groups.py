@@ -17,11 +17,11 @@ their class values: the 1-dimensional characters form a Klein group, a
 1-dimensional character fixes or reflects the index u of gamma_u, and
 gamma_u * gamma_v = gamma_(u+v) + gamma_(u-v), folded back into range.  The
 distinguished classes theta_i and delta^r and the constants c_i are closed
-forms or fusion products; only :mod:`qko.oracles` evaluates a virtual
-character at the classes.  The character table is written from the
-exponents of the at most two roots of unity in each value, and builds no
-cyclotomic number; single :class:`~qko.cyclotomic.Cyclo` character values
-remain for det(I - tau), for :mod:`qko.verify` and for the oracles.
+forms or fusion products.  No element is multiplied or enumerated here: the
+group law, character values at elements and class values live in
+:mod:`qko.oracles`.  The character table is written from the exponents of
+the at most two roots of unity in each value; single
+:class:`~qko.cyclotomic.Cyclo` character values remain only for det(I - tau).
 """
 
 from __future__ import annotations
@@ -90,88 +90,15 @@ class Subgroup(Enum):
     GEN_XI_J = "xiJ"   # generated by xi*J
 
 
-class QuaternionGroup:
-    """Multiplication table, conjugacy classes and subgroups for fixed ell."""
-
-    def __init__(self, params: GroupParams) -> None:
-        self.params = params
-        self.identity = GroupElement(0, 0)
-        self.elements = tuple(GroupElement(a, b)
-                              for b in (0, 1) for a in range(params.half))
-        q = params.quarter
-        # J xi^a J^(-1) = xi^(-a) and xi^c (xi^a J) xi^(-c) = xi^(a+2c) J;
-        # each representative is the minimum of its class
-        self.classes = ((GroupElement(0, 0), 1), (GroupElement(q, 0), 1),
-                        *((GroupElement(a, 0), 2) for a in range(1, q)),
-                        (GroupElement(0, 1), q), (GroupElement(1, 1), q))
-
-    def element(self, a: int, b: int) -> GroupElement:
-        return GroupElement(a % self.params.half, b % 2)
-
-    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        a = g.a + (h.a if g.b == 0 else -h.a)
-        if g.b and h.b:
-            a += self.params.quarter  # J^2 = xi^(ell/4)
-        return self.element(a, g.b + h.b)
-
-    def inverse(self, g: GroupElement) -> GroupElement:
-        if g.b == 0:
-            return self.element(-g.a, 0)
-        return self.element(g.a + self.params.quarter, 1)
-
-    def square(self, g: GroupElement) -> GroupElement:
-        return self.mul(g, g)
-
-    def class_index(self, g: GroupElement) -> int:
-        """Position of the class of g in :attr:`classes`."""
-        half, quarter = self.params.half, self.params.quarter
-        a = g.a % half
-        if g.b % 2:
-            return quarter + 1 + a % 2
-        if a == 0:
-            return 0
-        if a == quarter:
-            return 1
-        return min(a, half - a) + 1
-
-    def subgroup_elements(self, which: Subgroup) -> tuple[GroupElement, ...]:
-        if which is Subgroup.FULL:
-            return self.elements
-        generator = {
-            Subgroup.GEN_I: self.element(self.params.eighth, 0),
-            Subgroup.GEN_J: self.element(0, 1),
-            Subgroup.GEN_XI_J: self.element(1, 1),
-        }[which]
-        out = [self.identity]
-        g = generator
-        while g != self.identity:
-            out.append(g)
-            g = self.mul(g, generator)
-        return tuple(out)
-
-    def element_name(self, g: GroupElement) -> str:
-        g = self.element(g.a, g.b)
-        if g.b == 0:
-            if g.a == 0:
-                return "1"
-            if g.a == self.params.quarter:
-                return "-1"
-            return f"xi^{g.a}"
-        if g.a == 0:
-            return "J"
-        if g.a == 1:
-            return "xi*J"
-        return f"xi^{g.a}*J"
-
-
 @lru_cache(maxsize=None)
-def quaternion_group(params: GroupParams) -> QuaternionGroup:
-    return QuaternionGroup(params)
-
-
 def conjugacy_classes(params: GroupParams) -> tuple[tuple[GroupElement, int], ...]:
-    """Class representatives and sizes, ordered 1, -1, xi^a (a ascending), J, xi*J."""
-    return quaternion_group(params).classes
+    """Class representatives and sizes, ordered 1, -1, xi^a (a ascending), J, xi*J,
+    since J xi^a J^(-1) = xi^(-a) and xi^c (xi^a J) xi^(-c) = xi^(a+2c) J; each
+    representative is the minimum of its class."""
+    q = params.quarter
+    return ((GroupElement(0, 0), 1), (GroupElement(q, 0), 1),
+            *((GroupElement(a, 0), 2) for a in range(1, q)),
+            (GroupElement(0, 1), q), (GroupElement(1, 1), q))
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +153,6 @@ def gamma_trace(params: GroupParams, u: int, g: GroupElement) -> Cyclo:
     return Cyclo(m, coeffs)
 
 
-def char_value(params: GroupParams, label: str, g: GroupElement) -> Cyclo:
-    """Value of the irreducible character at a group element."""
-    p = _position(params, label)
-    if p > 3:
-        return gamma_trace(params, p - 3, g)
-    return Cyclo.rational(one_dim_sign(p, g.a, g.b), params.conductor)
-
-
 @lru_cache(maxsize=None)
 def _rotation_string(m: int, e: int) -> str:
     # zeta^e + zeta^(-e) in conductor m, written as char_strings describes
@@ -250,7 +169,7 @@ def _rotation_string(m: int, e: int) -> str:
 def char_strings(params: GroupParams, label: str) -> list[str]:
     """The irreducible character's values at the classes, in
     :func:`conjugacy_classes` order, each written as ``str`` of its
-    :func:`char_value` but from integers alone.
+    :func:`~qko.oracles.char_value` but from integers alone.
 
     With m the conductor and n = m/2, gamma_u(xi^a) = zeta^e + zeta^(-e) for
     e = ua mod m: 2 at e = 0, -2 at e = n, 0 at e = n/2 and 3n/2, and otherwise
@@ -548,17 +467,3 @@ def det_I_minus(tau: FpfRep, g: GroupElement) -> Cyclo:
     for s in tau.summands:
         result = result * det_one_minus_gamma(tau.params, s, g)
     return result
-
-
-def is_fixed_point_free(params: GroupParams, summands: Iterable[int]) -> bool:
-    """True iff det(I - rep(g)) is nonzero for every g != 1 (no parity assumption)."""
-    summands = _int_summands(summands)
-    if not summands:
-        return False
-    for rep, _ in conjugacy_classes(params)[1:]:
-        value = Cyclo.one(params.conductor)
-        for s in summands:
-            value = value * det_one_minus_gamma(params, s, rep)
-        if value.is_zero():
-            return False
-    return True

@@ -1,15 +1,17 @@
-"""Independent oracles: the class-value evaluations the engine no longer uses.
+"""Independent oracles: the group law, class values and explicit determinants.
 
-Every function here works on character values at conjugacy-class
-representatives, in exact cyclotomic arithmetic, the way the definitions
-read.  :func:`class_values` is the one place a virtual character is
-evaluated at the classes.  Class functions are paired by their class sums,
-theta and the powers of delta are their defining values re-expanded over
-the irreducibles, and an eta invariant is the sum over the classes of the
-subgroup with one inverse determinant per class.  The engine in :mod:`qko.groups` / :mod:`qko.eta`
-evaluates the same quantities in the representation ring instead, so the two
-share no arithmetic path; ``verify`` and the tests compare them.  Only they
-import this module: no ``ksp`` / ``ko`` / ``eta`` computation calls it.
+Every function here works on group elements and character values at them,
+in exact cyclotomic arithmetic, the way the definitions read: the group law
+enumerates elements and subgroups (the powers of a generator), and
+det(I - tau(g)) is a product of det(I - M) over the explicit 2x2 matrices.
+:func:`class_values` is the one place a virtual character is evaluated at
+the classes.  Class functions are paired by their class sums, theta and the
+powers of delta are their defining values re-expanded over the
+irreducibles, and an eta invariant is the sum over the classes of the
+subgroup with one inverse determinant per class.  The engine in
+:mod:`qko.groups` / :mod:`qko.eta` reads the group in closed form and works
+in the representation ring, so the two share no group code; ``verify`` and
+the tests compare them.  Only they import this module.
 """
 
 from __future__ import annotations
@@ -24,19 +26,77 @@ from typing import Iterable, Sequence
 from .cyclotomic import Cyclo, NotRationalError, _make, _product
 from .eta import EtaValue, NotReducedError, SpaceForm
 from .groups import (
-    FpfRep,
     GroupElement,
     GroupParams,
     NotVirtualError,
     Subgroup,
     VirtualCharacter,
-    char_value,
+    _int_summands,
+    _position,
     conjugacy_classes,
-    det_I_minus,
-    det_one_minus_gamma,
+    gamma_trace,
     irreducible_labels,
-    quaternion_group,
+    one_dim_sign,
 )
+
+
+class QuaternionGroup:
+    """The elements, multiplication and subgroups of the group for fixed ell."""
+
+    def __init__(self, params: GroupParams) -> None:
+        self.params = params
+        self.identity = GroupElement(0, 0)
+        self.elements = tuple(GroupElement(a, b)
+                              for b in (0, 1) for a in range(params.half))
+
+    def element(self, a: int, b: int) -> GroupElement:
+        return GroupElement(a % self.params.half, b % 2)
+
+    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
+        a = g.a + (h.a if g.b == 0 else -h.a)
+        if g.b and h.b:
+            a += self.params.quarter  # J^2 = xi^(ell/4)
+        return self.element(a, g.b + h.b)
+
+    def inverse(self, g: GroupElement) -> GroupElement:
+        if g.b == 0:
+            return self.element(-g.a, 0)
+        return self.element(g.a + self.params.quarter, 1)
+
+    def class_index(self, g: GroupElement) -> int:
+        """Position of the class of g in :func:`~qko.groups.conjugacy_classes`."""
+        half, quarter = self.params.half, self.params.quarter
+        a = g.a % half
+        if g.b % 2:
+            return quarter + 1 + a % 2
+        if a == 0:
+            return 0
+        if a == quarter:
+            return 1
+        return min(a, half - a) + 1
+
+    def subgroup_elements(self, which: Subgroup) -> tuple[GroupElement, ...]:
+        if which is Subgroup.FULL:
+            return self.elements
+        generator = self.element(*{Subgroup.GEN_I: (self.params.eighth, 0), Subgroup.GEN_J: (0, 1),
+                                   Subgroup.GEN_XI_J: (1, 1)}[which])
+        out = [self.identity]
+        while (g := self.mul(out[-1], generator)) != self.identity:
+            out.append(g)
+        return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def quaternion_group(params: GroupParams) -> QuaternionGroup:
+    return QuaternionGroup(params)
+
+
+def char_value(params: GroupParams, label: str, g: GroupElement) -> Cyclo:
+    """Value of the irreducible character at a group element."""
+    p = _position(params, label)
+    if p > 3:
+        return gamma_trace(params, p - 3, g)
+    return Cyclo.rational(one_dim_sign(p, g.a, g.b), params.conductor)
 
 
 def gamma_matrix(params: GroupParams, u: int, g: GroupElement) -> tuple[tuple[Cyclo, ...], ...]:
@@ -51,6 +111,23 @@ def gamma_matrix(params: GroupParams, u: int, g: GroupElement) -> tuple[tuple[Cy
         return ((za, zero), (zero, zb))
     sign = Cyclo.rational((-1) ** (u % 2), m)
     return ((zero, sign * za), (zb, zero))
+
+
+def explicit_det_I_minus(params: GroupParams, summands: Iterable[int], g: GroupElement) -> Cyclo:
+    """det(I - tau(g)) for tau the sum of the indexed summands: the product of
+    (1 - m00)(1 - m11) - m01 m10 over the summands' explicit matrices at g."""
+    one = result = Cyclo.one(params.conductor)
+    for s in summands:
+        (m00, m01), (m10, m11) = gamma_matrix(params, s, g)
+        result = result * ((one - m00) * (one - m11) - m01 * m10)
+    return result
+
+
+def is_fixed_point_free(params: GroupParams, summands: Iterable[int]) -> bool:
+    """True iff det(I - rep(g)) is nonzero for every g != 1 (no parity assumption)."""
+    summands = _int_summands(summands)
+    return bool(summands) and all(explicit_det_I_minus(params, summands, rep)
+                                  for rep, _ in conjugacy_classes(params)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +240,7 @@ def _det_powers(i: int, params: GroupParams) -> tuple[Cyclo, ...]:
     if i == 0:
         return tuple(Cyclo.one(params.conductor) for _ in reps)
     if i == 1:
-        return tuple(det_one_minus_gamma(params, 1, rep) for rep in reps)
+        return tuple(explicit_det_I_minus(params, (1,), rep) for rep in reps)
     if i == -1:
         return tuple(d.inverse() for d in _det_powers(1, params))
     step = _det_powers(1 if i > 0 else -1, params)
@@ -196,11 +273,10 @@ def _class_inverse_dets(params: GroupParams, subgroup: Subgroup, summands: tuple
                         ) -> tuple[tuple[int, int, Cyclo], ...]:
     # (class index, weight, det(I - tau)^(-1)) for each class that meets the
     # nonidentity part of the subgroup, weighted by the size of the meeting
-    group = quaternion_group(params)
-    tau = FpfRep(params, summands)
+    group, classes = quaternion_group(params), conjugacy_classes(params)
     weights = Counter(group.class_index(h) for h in group.subgroup_elements(subgroup)
                       if h != group.identity)
-    return tuple((idx, weight, det_I_minus(tau, group.classes[idx][0]).inverse())
+    return tuple((idx, weight, explicit_det_I_minus(params, summands, classes[idx][0]).inverse())
                  for idx, weight in sorted(weights.items()))
 
 

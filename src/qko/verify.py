@@ -34,7 +34,6 @@ from .groups import (
     Subgroup,
     VirtualCharacter,
     char_dim,
-    char_value,
     conjugacy_classes,
     delta,
     delta_power,
@@ -43,7 +42,6 @@ from .groups import (
     gamma_trace,
     irreducible_labels,
     membership,
-    quaternion_group,
     theta,
 )
 from .ktheory import ko_group, ko_ksp_isomorphism_check, ksp_group, structure_checks
@@ -77,11 +75,11 @@ def _character_checks(params: GroupParams) -> list[Check]:
                       sum(char_dim(l) ** 2 for l in labels)))
 
     # the indicator's defining sum (1/ell) sum_g chi(g^2), over the classes
-    group = quaternion_group(params)
+    group, char_value = oracles.quaternion_group(params), oracles.char_value
     bad = []
     for label in labels:
         got = fs_indicator(params, label)
-        total = sum((size * char_value(params, label, group.square(rep))
+        total = sum((size * char_value(params, label, group.mul(rep, rep))
                      for rep, size in classes), Cyclo.zero(params.conductor))
         if got != total.to_rational() / ell:
             bad.append(f"fs({label})={got}")
@@ -130,11 +128,9 @@ def _theta_and_c_checks(params: GroupParams) -> list[Check]:
 
     # delta's class function, the closed-form determinant and det(I - M) of
     # the explicit matrix agree
-    one = Cyclo.one(params.conductor)
     bad = []
     for (rep, _), value in zip(conjugacy_classes(params), oracles.class_values(delta(params))):
-        (m00, m01), (m10, m11) = oracles.gamma_matrix(params, 1, rep)
-        explicit = (one - m00) * (one - m11) - m01 * m10
+        explicit = oracles.explicit_det_I_minus(params, (1,), rep)
         if not value == det_one_minus_gamma(params, 1, rep) == explicit:
             bad.append(str(rep))
     out.append(_check_all(f"delta/det-match/ell{ell}", bad, len(conjugacy_classes(params))))

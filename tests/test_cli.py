@@ -255,7 +255,7 @@ def test_oversized_input_exits_2_before_any_work(argv, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started on an oversized input")
 
-    for name in ("quaternion_group", "conjugacy_classes", "ksp_group", "ko_group", "eta_pair",
+    for name in ("conjugacy_classes", "ksp_group", "ko_group", "eta_pair",
                  "theta", "delta_power", "run_verification"):
         monkeypatch.setattr(cli, name, no_work)
     code, out, err = run_cli(capsys, *argv)

@@ -5,11 +5,13 @@ one rational eta vector per space, summed over Galois orbits; the oracles in
 ``qko.oracles`` evaluate the same quantities from class values.  These tests
 compare the two, check that an eta vector does not depend on how tau is
 written, count the tower inverses the engine makes (one per tau and rotation
-order), and check that no K-group computation reaches an oracle.
+order), and check that no K-group computation reaches an oracle and that the
+oracles run without the engine's determinant.
 """
 
 import ast
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import permutations
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qko import cli, eta, oracles
+from qko import cli, eta, groups, oracles
 from qko.cyclotomic import Cyclo, NotRationalError
 from qko.eta import SpaceForm, eta_pair, eta_vector, quaternion_space
 from qko.groups import (
@@ -32,10 +34,10 @@ from qko.groups import (
     conjugacy_classes,
     delta_power,
     irreducible_labels,
-    quaternion_group,
     theta,
 )
 from qko.ktheory import ko_group, ksp_group
+from qko.oracles import quaternion_group
 
 ELLS = (8, 16, 32, 64)
 TAUS = ((1,), (1, 1), (1, 3), (3, 5, 1), (1,) * 5)
@@ -230,7 +232,8 @@ def test_k_groups_never_reach_an_oracle(monkeypatch, capsys):
                  if callable(obj) and not isinstance(obj, type)
                  and obj.__module__ == oracles.__name__}
     assert {"class_values", "eta_pair", "eta_vector", "c_constant", "decompose", "_pairing",
-            "gamma_matrix", "_det_powers"} <= set(functions.values())
+            "gamma_matrix", "_det_powers", "quaternion_group", "char_value",
+            "is_fixed_point_free", "explicit_det_I_minus"} <= set(functions.values())
 
     def raiser(name):
         def oracle_called(*args, **kwargs):
@@ -252,6 +255,96 @@ def test_k_groups_never_reach_an_oracle(monkeypatch, capsys):
                   "--bundle", "Delta^1", "--subgroup", "I"]):
         assert cli.main(argv + ["--format", "json"]) == 0
     capsys.readouterr()
+
+
+def test_subgroup_shape_matches_the_enumeration():
+    """The engine's closed-form order, rotation orders >= 4 and reflection
+    parity counts of each subgroup, against the oracles' element enumeration."""
+    for ell in (2 ** j for j in range(3, 13)):
+        params = GroupParams(ell)
+        group, half = quaternion_group(params), params.half
+        for subgroup in Subgroup:
+            members = group.subgroup_elements(subgroup)
+            # the engine counts -1 in every subgroup, with det(I - tau) = 4^nu there
+            assert group.element(params.quarter, 0) in members
+            orders = sorted({half // gcd(h.a, half) for h in members if not h.b and h.a} - {2})
+            parities = tuple(sum(1 for h in members if h.b and h.a % 2 == r) for r in (0, 1))
+            assert eta._subgroup_shape(params, subgroup) == \
+                (len(members), tuple(orders), parities), (ell, subgroup)
+
+
+def test_oracles_never_reach_the_engine_determinant(monkeypatch):
+    """The class-sum oracles take det(I - tau) from the explicit matrices, so
+    they give the same values with every binding of the engine's closed-form
+    determinants made to raise."""
+    def oracle_values():
+        out = []
+        for ell in (8, 16, 32):
+            params = GroupParams(ell)
+            out += [oracles.eta_vector(params, subgroup, summands)
+                    for subgroup in Subgroup for summands in TAUS]
+            out += [oracles.c_constant(i, params) for i in range(-3, 4)]
+        params = GroupParams(16)
+        out.append(oracles.eta_pair(SpaceForm(params, Subgroup.GEN_J, FpfRep(params, (1, 3)), 1),
+                                    theta(1, params) - delta_power(2, params), delta_power(1, params)))
+        out += [oracles.is_fixed_point_free(params, summands)
+                for summands in ((1, 3), (1, 2), (5,), (0, 1), ())]
+        return out
+
+    want = oracle_values()
+    assert want[-5:] == [True, False, True, False, False]
+
+    def raiser(name):
+        def engine_called(*args, **kwargs):
+            raise AssertionError(f"groups.{name} was called")
+        return engine_called
+
+    engine = {id(groups.det_I_minus): "det_I_minus",
+              id(groups.det_one_minus_gamma): "det_one_minus_gamma"}
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name == "qko" or name.startswith("qko."):
+            for attr, obj in list(vars(module).items()):
+                if id(obj) in engine:
+                    monkeypatch.setattr(module, attr, raiser(engine[id(obj)]))
+                    patched.add(f"{name}.{attr}")
+    assert {"qko.groups.det_I_minus", "qko.groups.det_one_minus_gamma",
+            "qko.eta.det_I_minus"} <= patched
+    _clear_caches()
+    assert oracle_values() == want
+
+
+def test_only_the_oracles_enumerate_the_group():
+    """No module but the oracles (and verify, which runs them) defines or names
+    the element enumeration, the explicit matrices or the character values at
+    elements; groups' char_strings docstring points at the oracle it matches."""
+    banned = {"subgroup_elements", "quaternion_group", "QuaternionGroup", "gamma_matrix",
+              "char_value"}
+    found, defined = {}, set()
+    for path in Path(oracles.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        exempt = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "char_strings"}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                words = {node.name}
+                if path.name == "oracles.py":
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                words = {node.id}
+            elif isinstance(node, ast.Attribute):
+                words = {node.attr}
+            elif isinstance(node, ast.alias):
+                words = {node.name, node.asname}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and id(node) not in exempt:
+                words = set(re.findall(r"\w+", node.value))
+            else:
+                continue
+            if words & banned and path.name not in ("oracles.py", "verify.py"):
+                found.setdefault(path.name, set()).update(words & banned)
+    assert banned <= defined
+    assert found == {}
 
 
 def test_only_verify_imports_the_oracles():

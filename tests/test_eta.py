@@ -21,13 +21,12 @@ from qko.groups import (
     Subgroup,
     VirtualCharacter,
     c_constant,
-    char_value,
     delta_power,
     det_I_minus,
-    quaternion_group,
     standard_fpf,
     theta,
 )
+from qko.oracles import char_value, quaternion_group
 
 P8 = GroupParams(8)
 P16 = GroupParams(16)
@@ -240,6 +239,12 @@ def test_eta_value_reduction():
 def test_space_form_validation():
     with pytest.raises(ValueError):
         SpaceForm(P8, Subgroup.FULL, standard_fpf(P16, 2))
+    # a subgroup named by its value once passed, and eta_pair then raised KeyError
+    for bad in ("full", "I", None):
+        with pytest.raises(TypeError):
+            SpaceForm(P8, bad, standard_fpf(P8, 2))
+        with pytest.raises(TypeError):
+            lens_space(P8, bad, 2)
     space = quaternion_space(P16, 3)
     assert space.nu == 3
     assert 4 * space.nu - 1 == 11

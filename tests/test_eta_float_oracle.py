@@ -10,7 +10,7 @@ group law: the summand gamma_u of tau is the explicit matrix
 diag(z^(ua), z^(-ua)) @ [[0, (-1)^u], [1, 0]]^b at xi^a J^b, z = exp(2 pi i / (ell/2)),
 the order-4 subgroups are the powers of their generators' matrices, and theta_i
 and delta^r are given by their defining values.  Only the element enumeration
-comes from ``qko.groups``; no cyclotomic arithmetic, conjugacy class or
+comes from ``qko.oracles``; no cyclotomic arithmetic, conjugacy class or
 determinant of the library is used.
 """
 
@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from qko.eta import SpaceForm, eta_pair
-from qko.groups import FpfRep, GroupParams, Subgroup, delta_power, quaternion_group, theta
+from qko.groups import FpfRep, GroupParams, Subgroup, delta_power, theta
+from qko.oracles import quaternion_group
 
 TAUS = ((1, 1), (1, 3), (3, 5, 1))
 GENERATORS = {Subgroup.GEN_I: lambda ell: (ell // 8, 0),
