@@ -261,7 +261,7 @@ def cmd_eta(args) -> tuple[dict, str, int]:
     if sigma.dimension != 0:
         raise UsageError(f"the twisting character must have dimension 0, "
                          f"got dimension {sigma.dimension}")
-    bundle = parse_character(params, args.bundle) if args.bundle else None
+    bundle = parse_character(params, args.bundle) if args.bundle is not None else None
     space = SpaceForm(params, Subgroup(args.subgroup), standard_fpf(params, args.nu))
     value = eta_pair(space, sigma, bundle)
     params_json = {"ell": params.ell, "nu": args.nu, "sigma": args.sigma,

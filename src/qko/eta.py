@@ -24,9 +24,10 @@ The vector is summed over Galois orbits rather than classes.  The rotations
 of H of one order M >= 4 form an orbit of zeta -> zeta^t (t odd), which
 carries chi(h) / det(I - tau(h)) to its conjugates, so their sum is a field
 trace: M/2 times the constant coefficient of that quotient at one rotation,
-in the field of conductor M, so each order costs one determinant and one
-tower inverse, whatever tau is.  The other classes are rational: det(I - tau)
-is 4^nu at -1 and 2^nu at the reflections xi^a J.  So a subgroup enters only
+whose det(I - tau) is that of xi in the group of order 2M, built in the
+field of conductor M.  So each order costs one determinant and one tower
+inverse, whatever tau is.  The other classes are rational: det(I - tau) is
+4^nu at -1 and 2^nu at the reflections xi^a J.  So a subgroup enters only
 through its order, rotation orders and reflections of each parity, in
 closed form.  Every value is exact and rational by construction.
 """
@@ -118,12 +119,10 @@ class EtaValue(NamedTuple):
         return EtaValue.from_exact(self.exact - other.exact)
 
 
-def _inverse_det(tau: FpfRep, order: int) -> Cyclo:
-    """det(I - tau(g))^(-1) at the rotation g = xi^(ell/(2*order)) of the given
-    order >= 4, in the field of conductor ``order`` that holds it."""
-    step = tau.params.half // order
-    det = det_I_minus(tau, GroupElement(step, 0))
-    return Cyclo(order, det.nums[::step]).inverse() * det.den
+def _inverse_det(summands: tuple[int, ...], order: int) -> Cyclo:
+    """det(I - tau(g))^(-1) at a rotation g of the given order >= 4, taken at xi
+    in the group of order 2*order, whose gamma_s agree, in that group's field."""
+    return det_I_minus(FpfRep(GroupParams(2 * order), summands), GroupElement(1, 0)).inverse()
 
 
 def _shifted_constant(y: Cyclo, j: int) -> int:
@@ -152,10 +151,10 @@ def _eta_numerators(params: GroupParams, subgroup: Subgroup,
                     summands: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     # The eta vector as int numerators over one positive int denominator in lowest
     # terms: each term over the lcm of 4^nu (2^nu divides it) and the levels' y.den.
+    SpaceForm(params, subgroup, FpfRep(params, summands))  # rejects bad subgroups and summands
     order, orders, reflections = _subgroup_shape(params, subgroup)
     half, nu = params.half, len(summands)
-    tau = FpfRep(params, summands)
-    levels = [(m, _inverse_det(tau, m)) for m in orders]
+    levels = [(m, _inverse_det(summands, m)) for m in orders]
     common = lcm(4 ** nu, *(y.den for _, y in levels))
     # each level's trace M/2 times its constant coefficient, over common
     levels = [(m, m // 2 * (common // y.den), y) for m, y in levels]

@@ -20,8 +20,8 @@ distinguished classes theta_i and delta^r and the constants c_i are closed
 forms or fusion products.  No element is multiplied or enumerated here: the
 group law, character values at elements and class values live in
 :mod:`qko.oracles`.  The character table is written from the exponents of
-the at most two roots of unity in each value; single
-:class:`~qko.cyclotomic.Cyclo` character values remain only for det(I - tau).
+the at most two roots of unity in each value; the one
+:class:`~qko.cyclotomic.Cyclo` the engine builds is :func:`det_I_minus`.
 """
 
 from __future__ import annotations
@@ -141,18 +141,6 @@ def char_dim(label: str) -> int:
     return 1 if label in _ONE_DIM_LABELS else 2
 
 
-def gamma_trace(params: GroupParams, u: int, g: GroupElement) -> Cyclo:
-    """Trace of the 2-dimensional representation indexed by u (any integer u):
-    zeta^(ua) + zeta^(-ua) at xi^a, 0 at xi^a J, each root put in the basis by
-    zeta^(m/2) = -1."""
-    m, n = params.conductor, params.conductor // 2
-    coeffs = [0] * n
-    if g.b % 2 == 0:
-        for e in (u * g.a % m, -u * g.a % m):
-            coeffs[e % n] += 1 if e < n else -1
-    return Cyclo(m, coeffs)
-
-
 @lru_cache(maxsize=None)
 def _rotation_string(m: int, e: int) -> str:
     # zeta^e + zeta^(-e) in conductor m, written as char_strings describes
@@ -182,14 +170,6 @@ def char_strings(params: GroupParams, label: str) -> list[str]:
         return [str(one_dim_sign(p, g.a, g.b)) for g, _ in classes]
     u, m = p - 3, params.conductor
     return ["0" if g.b else _rotation_string(m, u * g.a % m) for g, _ in classes]
-
-
-def det_one_minus_gamma(params: GroupParams, u: int, g: GroupElement) -> Cyclo:
-    """det(I - gamma_u(g)) = 1 - chi_u(g) + det gamma_u(g), where det gamma_u(g)
-    is -1 at the xi^a J elements for even u and +1 otherwise; for odd u this
-    is 2 - chi_u(g)."""
-    det = -1 if g.b % 2 and u % 2 == 0 else 1
-    return Cyclo.rational(1 + det, params.conductor) - gamma_trace(params, u, g)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +442,14 @@ def standard_fpf(params: GroupParams, nu: int) -> FpfRep:
 
 
 def det_I_minus(tau: FpfRep, g: GroupElement) -> Cyclo:
-    """det(I - tau(g)), the product of the per-summand 2x2 determinants."""
-    result = Cyclo.one(tau.params.conductor)
+    """det(I - tau(g)), the product over the odd summands s (det gamma_s = 1) of
+    2 - chi_s(g): 2 at xi^a J and 2 - zeta^(sa) - zeta^(-sa) at xi^a, each root
+    put in the basis by zeta^(m/2) = -1.  The one Cyclo the engine builds."""
+    m, n = tau.params.conductor, tau.params.conductor // 2
+    result = Cyclo.one(m)
     for s in tau.summands:
-        result = result * det_one_minus_gamma(tau.params, s, g)
+        coeffs = [2] + [0] * (n - 1)
+        for e in () if g.b % 2 else (s * g.a % m, -s * g.a % m):
+            coeffs[e % n] -= 1 if e < n else -1
+        result = result * Cyclo(m, coeffs)
     return result

@@ -2,8 +2,9 @@
 
 Every function here works on group elements and character values at them,
 in exact cyclotomic arithmetic, the way the definitions read: the group law
-enumerates elements and subgroups (the powers of a generator), and
-det(I - tau(g)) is a product of det(I - M) over the explicit 2x2 matrices.
+enumerates elements and subgroups (the powers of a generator), a character
+at an element is read from its signs at xi and J or is :func:`gamma_trace`,
+and det(I - tau(g)) is a product of det(I - M) over the explicit matrices.
 :func:`class_values` is the one place a virtual character is evaluated at
 the classes.  Class functions are paired by their class sums, theta and the
 powers of delta are their defining values re-expanded over the
@@ -34,9 +35,7 @@ from .groups import (
     _int_summands,
     _position,
     conjugacy_classes,
-    gamma_trace,
     irreducible_labels,
-    one_dim_sign,
 )
 
 
@@ -91,12 +90,25 @@ def quaternion_group(params: GroupParams) -> QuaternionGroup:
     return QuaternionGroup(params)
 
 
+def gamma_trace(params: GroupParams, u: int, g: GroupElement) -> Cyclo:
+    """Trace of the 2-dimensional representation indexed by u (any integer u):
+    zeta^(ua) + zeta^(-ua) at xi^a, 0 at xi^a J, each root put in the basis by
+    zeta^(m/2) = -1."""
+    m, n = params.conductor, params.conductor // 2
+    coeffs = [0] * n
+    if g.b % 2 == 0:
+        for e in (u * g.a % m, -u * g.a % m):
+            coeffs[e % n] += 1 if e < n else -1
+    return Cyclo(m, coeffs)
+
+
 def char_value(params: GroupParams, label: str, g: GroupElement) -> Cyclo:
     """Value of the irreducible character at a group element."""
     p = _position(params, label)
     if p > 3:
         return gamma_trace(params, p - 3, g)
-    return Cyclo.rational(one_dim_sign(p, g.a, g.b), params.conductor)
+    at_xi, at_j = {"rho0": (1, 1), "kappa1": (-1, 1), "kappa2": (1, -1), "kappa3": (-1, -1)}[label]
+    return Cyclo.rational(at_xi ** (g.a % 2) * at_j ** (g.b % 2), params.conductor)
 
 
 def gamma_matrix(params: GroupParams, u: int, g: GroupElement) -> tuple[tuple[Cyclo, ...], ...]:
@@ -297,6 +309,8 @@ def eta_vector(params: GroupParams, subgroup: Subgroup,
                summands: tuple[int, ...]) -> tuple[Fraction, ...]:
     """e[chi] = (1/|H|) * sum over h in H - {1} of chi(h) / det(I - tau(h)) for
     each irreducible chi, as a class sum."""
+    if not isinstance(subgroup, Subgroup):
+        raise TypeError(f"subgroup {subgroup!r} is not a Subgroup")
     sides = (_sigma_side(VirtualCharacter.irreducible(params, label), subgroup, summands)
              for label in irreducible_labels(params))
     return tuple(_rational_sum(params.conductor, ((1, value, None) for _, value in side))

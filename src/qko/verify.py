@@ -37,11 +37,11 @@ from .groups import (
     conjugacy_classes,
     delta,
     delta_power,
-    det_one_minus_gamma,
+    det_I_minus,
     fs_indicator,
-    gamma_trace,
     irreducible_labels,
     membership,
+    standard_fpf,
     theta,
 )
 from .ktheory import ko_group, ko_ksp_isomorphism_check, ksp_group, structure_checks
@@ -86,7 +86,7 @@ def _character_checks(params: GroupParams) -> list[Check]:
     out.append(_check_all(f"chars/fs-types/ell{ell}", bad, len(labels)))
 
     # folding of the 2-dimensional family at and beyond its index range
-    bad = []
+    bad, gamma_trace = [], oracles.gamma_trace
     for rep, _ in classes:
         rho_kappa2 = char_value(params, "rho0", rep) + char_value(params, "kappa2", rep)
         if gamma_trace(params, 0, rep) != rho_kappa2:
@@ -126,12 +126,12 @@ def _theta_and_c_checks(params: GroupParams) -> list[Check]:
             bad.append(f"c_{2 * i - 1}={odd}")
     out.append(_check_all(f"cvals/parity/ell{ell}", bad, 40))
 
-    # delta's class function, the closed-form determinant and det(I - M) of
-    # the explicit matrix agree
-    bad = []
+    # delta's class function, the engine's determinant and det(I - M) of the
+    # explicit matrix agree
+    bad, tau = [], standard_fpf(params, 1)
     for (rep, _), value in zip(conjugacy_classes(params), oracles.class_values(delta(params))):
         explicit = oracles.explicit_det_I_minus(params, (1,), rep)
-        if not value == det_one_minus_gamma(params, 1, rep) == explicit:
+        if not value == det_I_minus(tau, rep) == explicit:
             bad.append(str(rep))
     out.append(_check_all(f"delta/det-match/ell{ell}", bad, len(conjugacy_classes(params))))
     return out

@@ -139,6 +139,16 @@ def test_eta_rejects_garbage_expression(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bundle, message", [("", "empty character expression"),
+                                             ("  ", "cannot parse")])
+def test_eta_rejects_an_empty_bundle(capsys, bundle, message):
+    # an empty --bundle once printed the untwisted invariant and exited 0
+    code, out, err = run_cli(capsys, "eta", "--ell", "8", "--nu", "2", "--sigma", "Theta1",
+                             "--bundle", bundle)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_expression_parser():
     p = GroupParams(16)
     assert parse_character(p, "Theta1") == theta(1, p)

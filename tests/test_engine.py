@@ -232,7 +232,7 @@ def test_k_groups_never_reach_an_oracle(monkeypatch, capsys):
                  if callable(obj) and not isinstance(obj, type)
                  and obj.__module__ == oracles.__name__}
     assert {"class_values", "eta_pair", "eta_vector", "c_constant", "decompose", "_pairing",
-            "gamma_matrix", "_det_powers", "quaternion_group", "char_value",
+            "gamma_matrix", "_det_powers", "quaternion_group", "char_value", "gamma_trace",
             "is_fixed_point_free", "explicit_det_I_minus"} <= set(functions.values())
 
     def raiser(name):
@@ -276,7 +276,7 @@ def test_subgroup_shape_matches_the_enumeration():
 def test_oracles_never_reach_the_engine_determinant(monkeypatch):
     """The class-sum oracles take det(I - tau) from the explicit matrices, so
     they give the same values with every binding of the engine's closed-form
-    determinants made to raise."""
+    determinant made to raise."""
     def oracle_values():
         out = []
         for ell in (8, 16, 32):
@@ -299,8 +299,7 @@ def test_oracles_never_reach_the_engine_determinant(monkeypatch):
             raise AssertionError(f"groups.{name} was called")
         return engine_called
 
-    engine = {id(groups.det_I_minus): "det_I_minus",
-              id(groups.det_one_minus_gamma): "det_one_minus_gamma"}
+    engine = {id(groups.det_I_minus): "det_I_minus"}
     patched = set()
     for name, module in list(sys.modules.items()):
         if name == "qko" or name.startswith("qko."):
@@ -308,8 +307,7 @@ def test_oracles_never_reach_the_engine_determinant(monkeypatch):
                 if id(obj) in engine:
                     monkeypatch.setattr(module, attr, raiser(engine[id(obj)]))
                     patched.add(f"{name}.{attr}")
-    assert {"qko.groups.det_I_minus", "qko.groups.det_one_minus_gamma",
-            "qko.eta.det_I_minus"} <= patched
+    assert {"qko.groups.det_I_minus", "qko.eta.det_I_minus"} <= patched
     _clear_caches()
     assert oracle_values() == want
 
@@ -319,7 +317,7 @@ def test_only_the_oracles_enumerate_the_group():
     the element enumeration, the explicit matrices or the character values at
     elements; groups' char_strings docstring points at the oracle it matches."""
     banned = {"subgroup_elements", "quaternion_group", "QuaternionGroup", "gamma_matrix",
-              "char_value"}
+              "char_value", "gamma_trace"}
     found, defined = {}, set()
     for path in Path(oracles.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -345,6 +343,68 @@ def test_only_the_oracles_enumerate_the_group():
                 found.setdefault(path.name, set()).update(words & banned)
     assert banned <= defined
     assert found == {}
+
+
+def test_only_det_I_minus_builds_a_cyclo_in_the_engine():
+    """Outside the cyclotomic module, the oracles and verify, no function but
+    groups.det_I_minus calls Cyclo, a Cyclo constructor or cyclotomic._make,
+    and no module defines or names the per-summand determinant it replaced."""
+    builders = set()
+    for path in Path(oracles.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "det_one_minus_gamma" not in text, path.name
+        if path.name in ("cyclotomic.py", "oracles.py", "verify.py"):
+            continue
+        tree = ast.parse(text)
+        owners = {id(call): func.name for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef)
+                  for call in ast.walk(func) if isinstance(call, ast.Call)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if (isinstance(f, ast.Name) and f.id in ("Cyclo", "_make")) \
+                    or (isinstance(f, ast.Attribute) and f.attr == "Cyclo") \
+                    or (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                        and f.value.id == "Cyclo"):
+                builders.add(f"{path.stem}.{owners.get(id(call), '<module>')}")
+    assert builders == {"groups.det_I_minus"}
+
+
+@pytest.mark.parametrize("subgroup", ["full", "I", None])
+def test_eta_vectors_reject_a_subgroup_that_is_not_a_subgroup(subgroup):
+    # both once raised a bare KeyError from the closed form and the enumeration
+    params = GroupParams(8)
+    for function in (eta_vector, oracles.eta_vector):
+        with pytest.raises(TypeError, match="is not a Subgroup"):
+            function(params, subgroup, (1,))
+
+
+def test_eta_vector_rejects_even_or_inexact_summands_for_every_subgroup():
+    # <J> and <xi*J> have no rotation orders, so no determinant is built there
+    params = GroupParams(16)
+    for subgroup in Subgroup:
+        with pytest.raises(ValueError, match="is even"):
+            eta_vector(params, subgroup, (1, 2))
+        for bad in (1.0, "1", Fraction(1)):
+            with pytest.raises(TypeError):
+                eta_vector(params, subgroup, (bad,))
+
+
+@pytest.mark.parametrize("ell", [2 ** j for j in range(3, 11)])
+def test_inverse_det_is_taken_in_its_own_field(ell):
+    """The determinant at xi in the group of order 2M, inverted there, equals
+    the determinant at the rotation xi^(ell/2M) of the group of order ell,
+    restricted to the conductor-M subfield it lies in, inverted and rescaled."""
+    params = GroupParams(ell)
+    for summands in TAUS:
+        tau = FpfRep(params, summands)
+        for order in (2 ** k for k in range(2, params.half.bit_length())):
+            step = params.half // order
+            det = groups.det_I_minus(tau, groups.GroupElement(step, 0))
+            assert not any(x for i, x in enumerate(det.nums) if i % step), (summands, order)
+            old = Cyclo(order, det.nums[::step]).inverse() * det.den
+            assert eta._inverse_det(summands, order) == old, (ell, summands, order)
 
 
 def test_only_verify_imports_the_oracles():

@@ -25,9 +25,7 @@ from qko.groups import (
     delta,
     delta_power,
     det_I_minus,
-    det_one_minus_gamma,
     fs_indicator,
-    gamma_trace,
     irreducible_labels,
     membership,
     standard_fpf,
@@ -37,7 +35,9 @@ from qko.oracles import (
     char_value,
     class_values,
     decompose,
+    explicit_det_I_minus,
     gamma_matrix,
+    gamma_trace,
     inner_product,
     is_fixed_point_free,
     quaternion_group,
@@ -309,7 +309,7 @@ def test_delta_class_function_is_the_determinant():
         assert d.dimension == 0
         assert membership(d, "RSp0")
         for rep, _ in conjugacy_classes(params):
-            assert value_at(d, rep) == det_one_minus_gamma(params, 1, rep)
+            assert value_at(d, rep) == det_I_minus(FpfRep(params, (1,)), rep)
 
 
 def test_delta_power():
@@ -324,7 +324,7 @@ def test_delta_power():
         for r in (2, 3, 4):
             power = delta_power(r, params)
             for rep, _ in conjugacy_classes(params):
-                assert value_at(power, rep) == det_one_minus_gamma(params, 1, rep) ** r
+                assert value_at(power, rep) == det_I_minus(FpfRep(params, (1,)), rep) ** r
 
 
 def test_c_constants():
@@ -376,20 +376,27 @@ def test_det_I_minus():
     # multiplicative over summands
     pair = FpfRep(P16, (1, 3))
     for rep, _ in conjugacy_classes(P16):
-        expected = (det_one_minus_gamma(P16, 1, rep) * det_one_minus_gamma(P16, 3, rep))
+        expected = (det_I_minus(FpfRep(P16, (1,)), rep) * det_I_minus(FpfRep(P16, (3,)), rep))
         assert det_I_minus(pair, rep) == expected
 
 
 def test_closed_form_determinant_against_explicit_matrix():
-    # det(I - M) of the explicit matrix, for every index in [-ell, ell] (even
-    # ones included, where det M = -1 at the reflections) and every element
+    # the oracle trace is the explicit matrix's trace for every index in
+    # [-ell, ell] and every element, and det(I - M) is the engine's
+    # determinant for the odd ones, alone and summed into tau
     for params in ALL:
         one = Cyclo.one(params.conductor)
         for u in range(-params.ell, params.ell + 1):
             for g in quaternion_group(params).elements:
                 (m00, m01), (m10, m11) = gamma_matrix(params, u, g)
-                explicit = (one - m00) * (one - m11) - m01 * m10
-                assert det_one_minus_gamma(params, u, g) == explicit, (params.ell, u, g)
+                assert gamma_trace(params, u, g) == m00 + m11, (params.ell, u, g)
+                if u % 2:
+                    explicit = (one - m00) * (one - m11) - m01 * m10
+                    assert det_I_minus(FpfRep(params, (u,)), g) == explicit, (params.ell, u, g)
+        for summands in ((1, 1), (1, 3), (3, 5, 1), (-1, params.ell + 1, 7)):
+            for g in quaternion_group(params).elements:
+                assert det_I_minus(FpfRep(params, summands), g) == \
+                    explicit_det_I_minus(params, summands, g), (params.ell, summands, g)
 
 
 def test_fixed_point_free_criterion():
