@@ -88,12 +88,13 @@ def parse_character(params: GroupParams, text: str) -> VirtualCharacter:
     """Parse an integer combination of the twist tokens, e.g. ``2*Theta1 - Delta^3``."""
     if any(len(run) > MAX_DIGITS for run in re.findall(r"\d+", text)):
         raise UsageError(f"a number in the expression has more than {MAX_DIGITS} digits")
+    if not text.strip():
+        raise UsageError("empty character expression")
     result = VirtualCharacter.zero(params)
     pos = 0
-    first = True
     while pos < len(text):
         match = _TERM_RE.match(text, pos)
-        if not match or (not first and match.group("sign") is None):
+        if not match or (pos > 0 and match.group("sign") is None):
             raise UsageError(f"cannot parse character expression at: {text[pos:]!r}")
         sign = -1 if match.group("sign") == "-" else 1
         coeff = sign * int(match.group("coeff") or 1)
@@ -116,9 +117,6 @@ def parse_character(params: GroupParams, text: str) -> VirtualCharacter:
             term = VirtualCharacter.irreducible(params, atom)
         result = result + coeff * term
         pos = match.end()
-        first = False
-    if first:
-        raise UsageError("empty character expression")
     return result
 
 

@@ -16,12 +16,12 @@ representation ring by integer fusion rules on positions, never through
 their class values: the 1-dimensional characters form a Klein group, a
 1-dimensional character fixes or reflects the index u of gamma_u, and
 gamma_u * gamma_v = gamma_(u+v) + gamma_(u-v), folded back into range.  The
-distinguished classes theta_i and delta^r and the constants c_i are closed
-forms or fusion products.  No element is multiplied or enumerated here: the
-group law, character values at elements and class values live in
-:mod:`qko.oracles`.  The character table is written from the exponents of
-the at most two roots of unity in each value; the one
-:class:`~qko.cyclotomic.Cyclo` the engine builds is :func:`det_I_minus`.
+classes theta_i and delta^r are closed forms or fusion products, and c_i for
+i <= 0 is a cotangent power sum, so this module imports from qko.cyclotomic
+alone.  No element is multiplied or enumerated here: the group law, character
+values at elements and class values live in :mod:`qko.oracles`.  The
+character table is written from the exponents of the at most two roots of
+unity in each value; the one Cyclo the engine builds is :func:`det_I_minus`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from operator import add, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -356,15 +357,18 @@ def c_constant(i: int, params: GroupParams) -> Fraction:
     """(1/ell) * sum over nonidentity g of det(I - gamma1(g))^i; i may be negative.
 
     For i >= 1 that is the multiplicity of rho0 in delta^i (delta vanishes at
-    the identity), for i = 0 it is (ell - 1)/ell, and for i < 0 it is the eta
-    vector's rho0 entry for the full group acting by |i| copies of gamma1.
+    the identity).  For i = -k <= 0, with M = ell/2, the M reflections give
+    det 2 and the rotations the M - 1 roots x of sin^2(Mt)/sin^2(t) = M^2 sum_r
+    a_r x^r, x = 4 sin^2 t, a_r = (-1)^r C(M+r, 2r+1)/((r+1)M); c_i = (S_k + M/2^k)/ell.
     """
     if i > 0:
         return Fraction(delta_power(i, params).vector[0])
-    if i == 0:
-        return Fraction(params.ell - 1, params.ell)
-    from .eta import eta_vector  # eta builds on this module
-    return eta_vector(params, Subgroup.FULL, (1,) * -i)[0]
+    m, k = params.half, -i
+    a = [Fraction((-1) ** r * comb(m + r, 2 * r + 1), (r + 1) * m) for r in range(k + 1)]
+    sums = [Fraction(m - 1)]  # S_n, the sum of x^(-n), by Newton's identities
+    for n in range(1, k + 1):
+        sums.append(-n * a[n] - sum(a[r] * sums[n - r] for r in range(1, n)))
+    return (sums[k] + Fraction(m, 2 ** k)) / params.ell
 
 
 def fs_indicator(params: GroupParams, label: str) -> int:

@@ -140,9 +140,11 @@ def test_eta_rejects_garbage_expression(capsys):
 
 
 @pytest.mark.parametrize("bundle, message", [("", "empty character expression"),
-                                             ("  ", "cannot parse")])
+                                             ("  ", "empty character expression"),
+                                             ("\t", "empty character expression")])
 def test_eta_rejects_an_empty_bundle(capsys, bundle, message):
-    # an empty --bundle once printed the untwisted invariant and exited 0
+    # an empty --bundle once printed the untwisted invariant and exited 0, and a
+    # blank one once said "cannot parse"
     code, out, err = run_cli(capsys, "eta", "--ell", "8", "--nu", "2", "--sigma", "Theta1",
                              "--bundle", bundle)
     assert (code, out) == (2, "")

@@ -14,6 +14,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from graphlib import TopologicalSorter
 from itertools import permutations
 from math import gcd, log2
 from pathlib import Path
@@ -203,8 +204,9 @@ def test_inverse_count(ell, monkeypatch):
     monkeypatch.setattr(Cyclo, "inverse", counted)
     monkeypatch.setattr(eta, "_eta_numerators", recorded)
     full = Subgroup.FULL
-    # ksp_group(4) needs three vectors of the full group, so three inverses at each order
-    jobs = ((lambda: ksp_group(4, params), {(full, (1,)), (full, (1,) * 2), (full, (1,) * 4)}),
+    # ksp_group(4) needs one vector of the full group, so one inverse at each order: its
+    # c-constants are closed forms
+    jobs = ((lambda: ksp_group(4, params), {(full, (1,) * 4)}),
             (lambda: ko_group(3, params), {(full, (1,)), (full, (1,) * 2), (full, (1,) * 3)}
              | {(subgroup, (1,) * 3) for subgroup in Subgroup if subgroup is not full}))
     for job, want in jobs:
@@ -421,6 +423,30 @@ def test_only_verify_imports_the_oracles():
                 if any(alias.name == "qko.oracles" for alias in node.names):
                     importers.add(path.name)
     assert importers == {"verify.py"}
+
+
+def test_imports_sit_at_top_level_and_form_no_cycle():
+    """Every import in the package is a module-level statement, the package's
+    import graph is acyclic, and groups builds on cyclotomic alone."""
+    package = Path(oracles.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        deps = graph.setdefault(path.stem, set())
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            assert node in tree.body, f"{path.name}:{node.lineno} imports inside a block"
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.Import):
+                deps.update(name.removeprefix("qko.") for name in names)
+            elif node.level or (node.module or "").startswith("qko"):
+                module = (node.module or "").removeprefix("qko").lstrip(".")
+                deps.update([module] if module else names)
+        deps &= modules
+    list(TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+    assert graph["groups"] == {"cyclotomic"}
 
 
 def test_class_values_of_a_fusion_product():

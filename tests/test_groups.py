@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qko.cli import parse_character
 from qko.cyclotomic import Cyclo
+from qko.eta import eta_vector
 from qko.groups import (
     FpfRep,
     GroupElement,
@@ -347,6 +348,18 @@ def test_c_parity():
             odd = c_constant(2 * i - 1, params)
             assert even.denominator == 1, (params.ell, 2 * i, even)
             assert odd.denominator == 1 and odd % 2 == 0, (params.ell, 2 * i - 1, odd)
+
+
+def test_c_constant_is_the_rho0_entry_of_the_full_group_eta_vector():
+    """Two independent paths to c_(-k): the cotangent power sum in closed form
+    and the eta engine's class sum for k copies of gamma1.  There is no eta
+    vector for k = 0, where c_0 counts the nonidentity elements."""
+    for e in range(3, 13):
+        params = GroupParams(2 ** e)
+        assert c_constant(0, params) == Fraction(params.ell - 1, params.ell)
+        for k in range(1, 17):
+            assert c_constant(-k, params) == eta_vector(params, Subgroup.FULL, (1,) * k)[0], \
+                (params.ell, k)
 
 
 def test_membership():

@@ -1,10 +1,13 @@
 """Eta matrices, K-group structures, order formulas and the main isomorphism."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qko import ktheory
+from qko import eta, ktheory
 from qko.abelian import AbelianGroup, quotient_group
 from qko.cyclotomic import Mod2Z
 from qko.groups import GroupParams, c_constant, delta_power, theta
@@ -281,6 +284,61 @@ def test_wrong_b_pattern_makes_ksp_group_raise(monkeypatch):
     ksp_group.cache_clear()
     with pytest.raises(StructureMismatchError, match="b-printed-pattern"):
         ksp_group(3, P8)
+
+
+def test_printed_b_block_never_reaches_the_eta_engine(monkeypatch):
+    cases = [(nu, GroupParams(2 ** e)) for e in range(3, 13) for nu in range(2, 17)]
+
+    def block(nu, params):
+        return [[ktheory._printed_b_entry(nu, i, j, params) for j in range(1, nu)]
+                for i in range(1, nu)]
+
+    want = [block(*case) for case in cases]
+    c_constant.cache_clear()
+
+    def engine_called(*args, **kwargs):
+        raise AssertionError("the eta engine was called")
+
+    for name in ("_eta_numerators", "eta_vector"):
+        monkeypatch.setattr(eta, name, engine_called)
+    assert [block(*case) for case in cases] == want
+
+
+_PAST_THE_LIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, sys.argv[1])
+from fractions import Fraction
+from qko import eta, ktheory
+from qko.cyclotomic import Mod2Z
+from qko.groups import GroupParams, c_constant
+
+def engine_called(*args, **kwargs):
+    raise AssertionError("the eta engine was called")
+
+eta._eta_numerators = eta.eta_vector = engine_called
+for e in range(3, 65):
+    params, m = GroupParams(2 ** e), 2 ** (e - 1)
+    s1, s2 = Fraction(m ** 2 - 1, 12), Fraction(m ** 4 + 10 * m ** 2 - 11, 720)
+    assert c_constant(-1, params) == (s1 + Fraction(m, 2)) / params.ell, e
+    assert c_constant(-2, params) == (s2 + Fraction(m, 4)) / params.ell, e
+params = GroupParams(2 ** 64)
+block = [ktheory._printed_b_entry(16, i, j, params) for i in range(1, 16) for j in range(1, 16)]
+print(len(block), sum(entry != Mod2Z(0) for entry in block))
+"""
+
+
+def test_c_constants_past_the_input_limit():
+    """c_(-1) and c_(-2) against the published cotangent power sums S_1 and S_2
+    (plus the M = ell/2 reflections, each with det 2) for ell = 2^3 .. 2^64, and
+    the whole printed delta block at nu = 16 for ell = 2^64, in a child process
+    capped at 1 GiB of address space with the eta engine disabled."""
+    src = str(Path(ktheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _PAST_THE_LIMIT, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # 120 entries on and below the antidiagonal, none of them 0 mod 2Z
+    assert proc.stdout.split() == ["225", "120"]
 
 
 def test_main_isomorphism():
