@@ -3,9 +3,10 @@
 Matrices are plain row-major ``list[list[int]]``; Python integers give
 arbitrary precision for free, and any other entry, like any non-int group
 order, raises ``TypeError`` rather than being truncated.  The matrices
-arising here are tiny (at most about 12x12) so the classical pivoting
-algorithm is used, with the minimal-absolute-value entry as pivot to keep
-coefficients small.
+arising here are tiny (at most about 12x12), so the Smith form is classical
+elimination: each entry beside the pivot is cleared by one 2x2 unimodular
+step, an extended-gcd (Bezout) step when the pivot does not divide it, with
+no search for a smallest pivot.
 
 A span in (Q/2Z)^n is read straight off the Smith diagonal of its scaled
 generator rows, and a direct sum of cyclic groups is put in invariant-factor
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 IntMatrix = list[list[int]]
@@ -42,9 +44,8 @@ def identity_matrix(n: int) -> IntMatrix:
 def matrix_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("inner dimensions do not match")
-    cols = len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-            for i in range(len(a))]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def matrix_determinant(mat: IntMatrix) -> int:
@@ -72,22 +73,26 @@ def matrix_determinant(mat: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _swap_rows(m: IntMatrix, i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
+def _step(p: int, e: int) -> tuple[int, int, int, int]:
+    """A unimodular [[x, y], [z, w]] taking the pair (p, e) to (g, 0), g a gcd:
+    a plain subtraction when p divides e, else the extended-gcd (Bezout) step
+    [[x, y], [-e/g, p/g]] with g = x*p + y*e."""
+    if p and not e % p:
+        return 1, 0, -(e // p), 1
+    g, b, x, next_x, y, next_y = p, e, 1, 0, 0, 1
+    while b:
+        q, g, b = g // b, b, g % b
+        x, next_x, y, next_y = next_x, x - q * next_x, next_y, y - q * next_y
+    return x, y, -(e // g), p // g
 
 
-def _swap_cols(m: IntMatrix, i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row_multiple(m: IntMatrix, dst: int, src: int, factor: int) -> None:
-    m[dst] = [x + factor * y for x, y in zip(m[dst], m[src])]
-
-
-def _add_col_multiple(m: IntMatrix, dst: int, src: int, factor: int) -> None:
-    for row in m:
-        row[dst] += factor * row[src]
+def _row_step(m: IntMatrix, t: int, i: int, step: tuple[int, int, int, int]) -> None:
+    # rows t, i of m become x*row_t + y*row_i, z*row_t + w*row_i; y = 0 only with x = 1
+    x, y, z, w = step
+    pairs = list(zip(m[t], m[i]))
+    if y:
+        m[t] = [x * top + y * low for top, low in pairs]
+    m[i] = [z * top + w * low for top, low in pairs]
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -97,6 +102,13 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatri
     determinant +-1, and ``D`` diagonal with nonnegative entries satisfying
     ``D[0][0] | D[1][1] | ...``.  Works for any shape, including zero and
     non-square matrices.
+
+    At step t the first column holding a nonzero entry of the remaining
+    block moves to column t.  One pass of 2x2 steps (:func:`_step`) on rows
+    t and i clears column t, and one pass on columns t and j clears row t;
+    the passes repeat while the column steps refill column t.  If the pivot
+    does not divide the whole remaining block, an offending row is added to
+    row t and the passes run again, which lowers the pivot to a gcd.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
@@ -104,63 +116,49 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatri
         raise ValueError("matrix rows have unequal lengths")
     a = [_ints(row, "matrix entry") for row in mat]
     u = identity_matrix(rows)
-    v = identity_matrix(cols)
+    vt = identity_matrix(cols)  # V transposed: a column step on a is a row step on vt
 
-    t = 0
-    while t < min(rows, cols):
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            _swap_rows(a, pi, t)
-            _swap_rows(u, pi, t)
-        if pj != t:
-            _swap_cols(a, pj, t)
-            _swap_cols(v, pj, t)
-
-        dirty = False
-        for i in range(rows):
-            if i != t and a[i][t]:
-                q = a[i][t] // a[t][t]
-                if q:
-                    _add_row_multiple(a, i, t, -q)
-                    _add_row_multiple(u, i, t, -q)
-                if a[i][t]:
-                    dirty = True
-        for j in range(cols):
-            if j != t and a[t][j]:
-                q = a[t][j] // a[t][t]
-                if q:
-                    _add_col_multiple(a, j, t, -q)
-                    _add_col_multiple(v, j, t, -q)
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            continue  # a smaller pivot appeared; pick it up again
-
-        # The pivot must divide the whole remaining block for the chain
-        # d_t | d_{t+1} | ... to hold; pull any offending row up and retry.
-        stray = None
-        for i in range(t + 1, rows):
-            if any(a[i][j] % a[t][t] for j in range(t + 1, cols)):
-                stray = i
+    for t in range(min(rows, cols)):
+        if not a[t][t]:
+            j = next((j for j in range(t, cols) if any(row[j] for row in a[t:])), None)
+            if j is None:
                 break
-        if stray is not None:
-            _add_row_multiple(a, t, stray, 1)
-            _add_row_multiple(u, t, stray, 1)
-            continue
-        t += 1
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            vt[t], vt[j] = vt[j], vt[t]
+        refilled = True
+        while refilled:
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    step = _step(a[t][t], a[i][t])
+                    _row_step(a, t, i, step)
+                    _row_step(u, t, i, step)
+            # column t is now clear below the pivot, so a column step on
+            # columns t and j changes only row t until an extended-gcd step
+            # moves y * column j into column t
+            refilled, top = False, a[t]
+            for j in range(t + 1, cols):
+                if top[j]:
+                    x, y, z, w = step = _step(top[t], top[j])
+                    top[t], top[j] = x * top[t] + y * top[j], 0
+                    _row_step(vt, t, j, step)
+                    refilled = refilled or y != 0
+                    if refilled:
+                        for row in a[t + 1:]:
+                            row[t], row[j] = x * row[t] + y * row[j], z * row[t] + w * row[j]
+            if not refilled:
+                p = top[t]
+                stray = next((i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1:])), None)
+                if stray is not None:  # add it to row t
+                    _row_step(a, t, stray, (1, 1, 0, 1))
+                    _row_step(u, t, stray, (1, 1, 0, 1))
+                    refilled = True
 
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
-    return u, a, v
+    return u, a, [list(col) for col in zip(*vt)]
 
 
 class AbelianGroup:

@@ -264,8 +264,8 @@ class Mod2Z:
     def __init__(self, value: Scalar) -> None:
         if not isinstance(value, (int, Fraction)):
             raise TypeError(f"a residue needs an int or a Fraction, got {value!r}")
-        rep = value % 2 if isinstance(value, Fraction) else Fraction(value % 2)
-        object.__setattr__(self, "rep", rep)
+        n, d = value.numerator, value.denominator
+        object.__setattr__(self, "rep", Fraction(n % (2 * d), d))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Mod2Z values are immutable")

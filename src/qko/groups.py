@@ -285,9 +285,10 @@ def _folded(params: GroupParams) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def fusion_product(f1: VirtualCharacter, f2: VirtualCharacter) -> VirtualCharacter:
     """The tensor product of two virtual characters, in integers alone, by the
-    fusion rules of the irreducibles."""
+    fusion rules of the irreducibles; each product is formed once."""
     if f1.params != f2.params:
         raise ValueError("virtual characters live over different groups")
     params = f1.params

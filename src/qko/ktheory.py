@@ -10,8 +10,8 @@ generators (lens-space differences and products with the auxiliary
 A-roof-genus manifolds), giving blocks C and B with a dimension shift of one.
 The group structures are read off with exact Smith-form quotients.  Every
 closed form the blocks must meet is stated once, in :func:`structure_checks`:
-the group constructors raise on the first row that fails, and ``verify``
-reports the rows.
+the group constructors raise on the first row that fails and keep the rows
+on the report, and ``verify`` reports them.
 
 Coefficient schedules: theta_1, theta_2 and the even powers of delta are
 real, and the odd powers of delta are quaternionic.  The KSp generators are
@@ -216,6 +216,7 @@ class KGroupReport(NamedTuple):
     a_matrix: EtaMatrix
     b_matrix: EtaMatrix
     splitting: tuple[tuple[str, str], ...]
+    checks: tuple[Check, ...] = ()  # the structure_checks rows, once they have passed
 
 
 def structure_checks(report: KGroupReport) -> list[Check]:
@@ -295,10 +296,11 @@ def _assemble(kind: str, index: int, params: GroupParams, full: EtaMatrix,
         matrix=full, a_matrix=a_matrix, b_matrix=b_matrix,
         splitting=(("A", _SPLITTING_A), ("B", _SPLITTING_B)),
     )
-    for row in structure_checks(report):
+    checks = tuple(structure_checks(report))
+    for row in checks:
         if not row.passed:
             raise StructureMismatchError(row.line())
-    return report
+    return report._replace(checks=checks)
 
 
 @lru_cache(maxsize=None)

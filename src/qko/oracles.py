@@ -6,7 +6,9 @@ enumerates elements and subgroups (the powers of a generator), a character
 at an element is read from its signs at xi and J or is :func:`gamma_trace`,
 and det(I - tau(g)) is a product of det(I - M) over the explicit matrices.
 :func:`class_values` is the one place a virtual character is evaluated at
-the classes.  Class functions are paired by their class sums, theta and the
+the classes, as one integer numerator vector per class, from the same
+signs and roots as :func:`char_value`.  Class functions are paired by their
+class sums, on integer numerators over one common denominator; theta and the
 powers of delta are their defining values re-expanded over the
 irreducibles, and an eta invariant is the sum over the classes of the
 subgroup with one inverse determinant per class.  The engine in
@@ -90,25 +92,38 @@ def quaternion_group(params: GroupParams) -> QuaternionGroup:
     return QuaternionGroup(params)
 
 
+# the 1-dimensional characters rho0, kappa1, kappa2, kappa3: their signs at xi and at J
+_SIGNS = ((1, 1), (-1, 1), (1, -1), (-1, -1))
+
+
+def _add_value(out: list[int], conductor: int, p: int, u: int, g: GroupElement, m: int) -> None:
+    # out += m * chi(g) on integer numerators: chi is the 1-dimensional
+    # character at position p < 4, from its signs, or for p >= 4 the trace
+    # zeta^(ua) + zeta^(-ua) at xi^a (0 at xi^a J) of the representation
+    # indexed by any integer u, each root put in the basis by zeta^(m/2) = -1
+    if p < 4:
+        at_xi, at_j = _SIGNS[p]
+        out[0] += m * at_xi ** (g.a % 2) * at_j ** (g.b % 2)
+    elif g.b % 2 == 0:
+        n = conductor // 2
+        for e in (u * g.a % conductor, -u * g.a % conductor):
+            out[e % n] += m if e < n else -m
+
+
 def gamma_trace(params: GroupParams, u: int, g: GroupElement) -> Cyclo:
     """Trace of the 2-dimensional representation indexed by u (any integer u):
-    zeta^(ua) + zeta^(-ua) at xi^a, 0 at xi^a J, each root put in the basis by
-    zeta^(m/2) = -1."""
-    m, n = params.conductor, params.conductor // 2
-    coeffs = [0] * n
-    if g.b % 2 == 0:
-        for e in (u * g.a % m, -u * g.a % m):
-            coeffs[e % n] += 1 if e < n else -1
-    return Cyclo(m, coeffs)
+    zeta^(ua) + zeta^(-ua) at xi^a, 0 at xi^a J."""
+    out = [0] * (params.conductor // 2)
+    _add_value(out, params.conductor, 4, u, g, 1)  # any position p >= 4
+    return _make(params.conductor, out, 1)
 
 
 def char_value(params: GroupParams, label: str, g: GroupElement) -> Cyclo:
     """Value of the irreducible character at a group element."""
     p = _position(params, label)
-    if p > 3:
-        return gamma_trace(params, p - 3, g)
-    at_xi, at_j = {"rho0": (1, 1), "kappa1": (-1, 1), "kappa2": (1, -1), "kappa3": (-1, -1)}[label]
-    return Cyclo.rational(at_xi ** (g.a % 2) * at_j ** (g.b % 2), params.conductor)
+    out = [0] * (params.conductor // 2)
+    _add_value(out, params.conductor, p, p - 3, g, 1)
+    return _make(params.conductor, out, 1)
 
 
 def gamma_matrix(params: GroupParams, u: int, g: GroupElement) -> tuple[tuple[Cyclo, ...], ...]:
@@ -149,10 +164,17 @@ def is_fixed_point_free(params: GroupParams, summands: Iterable[int]) -> bool:
 @lru_cache(maxsize=None)
 def class_values(f: VirtualCharacter) -> tuple[Cyclo, ...]:
     """sum over chi of m_chi * chi(rep) at each class representative, in the
-    :func:`~qko.groups.conjugacy_classes` order."""
-    zero = Cyclo.zero(f.params.conductor)
-    return tuple(sum((m * char_value(f.params, label, rep) for label, m in f.mults.items()), zero)
-                 for rep, _ in conjugacy_classes(f.params))
+    :func:`~qko.groups.conjugacy_classes` order: one integer numerator vector
+    per class."""
+    m = f.params.conductor
+    terms = [(p, mult) for p, mult in enumerate(f.vector) if mult]
+    out = []
+    for rep, _ in conjugacy_classes(f.params):
+        nums = [0] * (m // 2)
+        for p, mult in terms:
+            _add_value(nums, m, p, p - 3, rep, mult)
+        out.append(_make(m, nums, 1))
+    return tuple(out)
 
 
 def _rational_sum(conductor: int,
@@ -183,12 +205,13 @@ def _pairing(params: GroupParams, v: Sequence[Cyclo], w: Sequence[Cyclo]) -> Fra
 
     Only the constant coefficient is formed: in the power basis the constant
     coefficient of v * conj(w) is the dot product of the coefficient vectors,
-    taken on the integer numerators.
+    taken on the integer numerators and added over the lcm of the
+    denominators into one Fraction.
     """
-    total = Fraction(0)
-    for (_, size), x, y in zip(conjugacy_classes(params), v, w):
-        total += Fraction(size * sum(map(mul, x.nums, y.nums)), x.den * y.den)
-    return total / params.ell
+    terms = [(size * sum(map(mul, x.nums, y.nums)), x.den * y.den)
+             for (_, size), x, y in zip(conjugacy_classes(params), v, w)]
+    den = lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (den // d) for n, d in terms), den * params.ell)
 
 
 def inner_product(f1: VirtualCharacter, f2: VirtualCharacter) -> Fraction:
@@ -212,7 +235,7 @@ def decompose(params: GroupParams, values: Sequence[Cyclo | Fraction | int]) -> 
                  for v in values)
     mults = {}
     for label in irreducible_labels(params):
-        m = _pairing(params, vals, [char_value(params, label, rep) for rep, _ in classes])
+        m = _pairing(params, vals, class_values(VirtualCharacter.irreducible(params, label)))
         if m.denominator != 1:
             raise NotVirtualError(f"multiplicity of {label} is {m}, not an integer")
         mults[label] = int(m)

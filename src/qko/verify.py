@@ -6,8 +6,9 @@ class-value evaluation from :mod:`qko.oracles`) against the computed value,
 and reports name / pass / expected / actual.  Where both sides would
 otherwise run through the representation-ring engine, the expectation is
 the oracle's.  The K-group rows are :func:`qko.ktheory.structure_checks`,
-the table that ``ksp_group`` / ``ko_group`` assert.  The CLI ``verify``
-command runs the whole list and fails its exit code on any mismatch.
+the table that ``ksp_group`` / ``ko_group`` assert and keep on each report.
+The CLI ``verify`` command runs the whole list and fails its exit code on
+any mismatch.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .groups import (
     standard_fpf,
     theta,
 )
-from .ktheory import ko_group, ko_ksp_isomorphism_check, ksp_group, structure_checks
+from .ktheory import ko_group, ko_ksp_isomorphism_check, ksp_group
 
 RANDOM_SEED = 1789
 
@@ -230,11 +231,11 @@ def _matrix_checks(params: GroupParams, max_nu: int, max_k: int) -> list[Check]:
     ell = params.ell
     out = []
     for nu in range(2, max_nu + 1):
-        out.extend(structure_checks(ksp_group(nu, params)))
+        out.extend(ksp_group(nu, params).checks)
     # ktheory states each closed form; verify adds the rows that compare two reports
     for k in range(1, max_k + 1):
         report = ko_group(k, params)
-        c_form, c_block, order, splitting = structure_checks(report)
+        c_form, c_block, order, splitting = report.checks
         bundle_b = ksp_group(k + 1, params).b_matrix
         out += [c_form,
                 _check(f"matrix/b-manifold-vs-bundle/ell{ell}/k{k}",
@@ -290,13 +291,13 @@ def brute_force_span(generators: list[tuple[Fraction | int, ...]]) -> AbelianGro
 
 def _arith_checks() -> list[Check]:
     out = []
-    rng = random.Random(RANDOM_SEED)
+    rng = random.Random(RANDOM_SEED)  # randrange(a, b + 1) draws exactly as randint(a, b)
 
     bad = []
     for trial in range(200):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        mat = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
+        rows = rng.randrange(1, 7)
+        cols = rng.randrange(1, 7)
+        mat = [[rng.randrange(-20, 21) for _ in range(cols)] for _ in range(rows)]
         u, d, v = smith_normal_form(mat)
         if matrix_product(matrix_product(u, mat), v) != d:
             bad.append(f"trial {trial}: U*M*V != D")
@@ -330,9 +331,9 @@ def _arith_checks() -> list[Check]:
     while cases < 150:
         # draw the integers first and build Fractions only for accepted spans
         draws = []
-        for _ in range(rng.randint(1, 3)):
-            q1, q2 = rng.randint(1, 16), rng.randint(1, 16)
-            draws.append((rng.randint(0, 2 * q1 - 1), q1, rng.randint(0, 2 * q2 - 1), q2))
+        for _ in range(rng.randrange(1, 4)):
+            q1, q2 = rng.randrange(1, 17), rng.randrange(1, 17)
+            draws.append((rng.randrange(2 * q1), q1, rng.randrange(2 * q2), q2))
         if lcm(*(q for _, q1, _, q2 in draws for q in (q1, q2))) > 24:
             continue  # keep the enumeration oracle at desk scale
         gens = [(Fraction(p1, q1), Fraction(p2, q2)) for p1, q1, p2, q2 in draws]
@@ -344,7 +345,7 @@ def _arith_checks() -> list[Check]:
     bad = []
     for trial in range(50):
         m = rng.choice([4, 8, 16])
-        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(m // 2)]
+        coeffs = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 5)) for _ in range(m // 2)]
         a = Cyclo(m, coeffs)
         if not a.is_zero() and a * a.inverse() != Cyclo.one(m):
             bad.append(f"trial {trial}: inverse")

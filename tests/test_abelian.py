@@ -3,12 +3,14 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qko import verify
 from qko.abelian import (
     AbelianGroup,
     DimensionMismatchError,
@@ -73,9 +75,9 @@ def test_snf_random_matrices():
 
 
 @st.composite
-def int_matrices(draw):
-    """Up to 6 x 6 integer matrices with entries in -20..20, empty shapes included."""
-    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+def int_matrices(draw, size=6):
+    """Up to size x size integer matrices with entries in -20..20, empty shapes included."""
+    rows, cols = draw(st.integers(0, size)), draw(st.integers(0, size))
     row = st.lists(st.integers(-20, 20), min_size=cols, max_size=cols)
     return draw(st.lists(row, min_size=rows, max_size=rows))
 
@@ -84,6 +86,38 @@ def int_matrices(draw):
 @given(int_matrices())
 def test_snf_postconditions_on_random_matrices(mat):
     snf_postconditions(mat)
+
+
+def determinantal_divisors_hold(mat):
+    """d_1 * ... * d_k of the Smith diagonal is the gcd of all k x k minors,
+    each minor a determinant from matrix_determinant."""
+    _, d, _ = smith_normal_form(mat)
+    rows, cols = len(mat), len(mat[0]) if mat else 0
+    for k in range(1, min(rows, cols) + 1):
+        minors = (matrix_determinant([[mat[i][j] for j in cs] for i in rs])
+                  for rs in combinations(range(rows), k) for cs in combinations(range(cols), k))
+        assert prod(d[i][i] for i in range(k)) == gcd(*minors), (mat, k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(int_matrices(5))
+def test_smith_diagonal_is_the_determinantal_divisors(mat):
+    determinantal_divisors_hold(mat)
+
+
+def test_smith_diagonal_is_the_determinantal_divisors_on_the_verify_trials(monkeypatch):
+    matrices = []
+    real = verify.smith_normal_form
+
+    def record(mat):
+        matrices.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(verify, "smith_normal_form", record)
+    verify._arith_checks()
+    assert len(matrices) == 200
+    for mat in matrices:
+        determinantal_divisors_hold(mat)
 
 
 def test_determinant_bareiss():

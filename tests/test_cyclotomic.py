@@ -296,3 +296,11 @@ def test_mod2z_equality_is_representation_equality():
     assert Mod2Z(Fraction(3, 2)) == Mod2Z(Fraction(-1, 2))
     assert Mod2Z(Fraction(3, 2)) != Mod2Z(Fraction(1, 2))
     assert hash(Mod2Z(Fraction(3, 2))) == hash(Mod2Z(Fraction(-1, 2)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.one_of(st.integers(-10**6, 10**6),
+                 st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4)))
+def test_mod2z_residue_is_fraction_mod_2(x):
+    assert Mod2Z(x).rep == Fraction(x) % 2
+    assert type(Mod2Z(x).rep) is Fraction

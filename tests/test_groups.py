@@ -2,7 +2,7 @@
 
 import pickle
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -499,3 +499,49 @@ def test_vector_form_agrees_with_a_dict_model(case):
     assert pickle.loads(pickle.dumps(f)) == f
     if f != VirtualCharacter.zero(params):
         assert parse_character(params, repr(f)) == f
+
+
+@pytest.mark.parametrize("params", ALL, ids=lambda p: f"ell{p.ell}")
+def test_irreducible_class_values_are_char_values_at_the_representatives(params):
+    classes = conjugacy_classes(params)
+    for label in irreducible_labels(params):
+        got = class_values(VirtualCharacter.irreducible(params, label))
+        assert got == tuple(char_value(params, label, rep) for rep, _ in classes), label
+
+
+@st.composite
+def virtual_characters(draw):
+    """A group of order 8 to 64 and two virtual characters on it, each
+    multiplicity in -3..3."""
+    params = draw(st.sampled_from(ALL))
+    n = len(irreducible_labels(params))
+    vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    labels = irreducible_labels(params)
+    return params, *(VirtualCharacter(params, dict(zip(labels, draw(vectors)))) for _ in "fg")
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(virtual_characters())
+def test_integer_class_values_and_pairing_match_their_definitions(case):
+    params, f, g = case
+    classes = conjugacy_classes(params)
+    zero = Cyclo.zero(params.conductor)
+
+    def by_definition(character):
+        # sum of m * char_value, one Cyclo per term
+        return tuple(sum((m * char_value(params, label, rep) for label, m in character.mults.items()),
+                         zero) for rep, _ in classes)
+
+    assert class_values(f) == by_definition(f)
+    assert class_values(g) == by_definition(g)
+    # the pairing as one Fraction per class, the dot product of the Fraction
+    # coefficients, and as the full class sum of f * conj(g)
+    per_class = sum(size * sum(map(mul, x.coeffs, y.coeffs))
+                    for (_, size), x, y in zip(classes, class_values(f), class_values(g)))
+    assert inner_product(f, g) == Fraction(per_class) / params.ell
+    n = params.conductor // 2
+    full = zero
+    for (_, size), x, y in zip(classes, class_values(f), class_values(g)):
+        conj_y = Cyclo(params.conductor, [y.coeffs[0]] + [-y.coeffs[n - k] for k in range(1, n)])
+        full = full + size * x * conj_y
+    assert inner_product(f, g) == full.to_rational() / params.ell

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qko import oracles, verify
+from qko import eta, groups, ktheory, oracles, verify
 from qko.cyclotomic import NotRationalError
 from qko.groups import GroupParams
 
@@ -70,3 +70,37 @@ def test_substrate_trials_keep_their_inputs_and_random_stream(monkeypatch):
     assert hashlib.sha256("\n".join(spans).encode()).hexdigest() == (
         "b6798d35b113928bf2212a9b557e8bdd732562be1cb4dbdbb07d0c5f458ce3e2")
     assert rngs[0].getrandbits(64) == 12936391567819795641
+
+
+def test_verify_forms_each_fusion_product_once_and_class_values_on_integers(monkeypatch):
+    # a count guard: every product of two characters is formed once, and the
+    # class values are built without the per-value Cyclo path of char_value
+    for module in (groups, eta, ktheory, oracles):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    pairs, characters = [], set()
+    product, class_values = groups.fusion_product, oracles.class_values
+
+    def record_product(f1, f2):
+        pairs.append((f1, f2))
+        return product(f1, f2)
+
+    def record_values(f):
+        characters.add(f)
+        return class_values(f)
+
+    monkeypatch.setattr(groups, "fusion_product", record_product)
+    monkeypatch.setattr(oracles, "class_values", record_values)
+    assert all(c.passed for c in verify.run_verification([8, 16], 4, 3))
+    assert product.cache_info().misses == len(set(pairs)) < len(pairs)
+
+    def refuse(*args):
+        raise AssertionError("class values went through a per-value Cyclo")
+
+    want = {f: class_values(f) for f in characters}
+    class_values.cache_clear()
+    monkeypatch.setattr(oracles, "char_value", refuse)
+    monkeypatch.setattr(oracles, "gamma_trace", refuse)
+    assert len(want) > 20
+    assert {f: class_values(f) for f in characters} == want
