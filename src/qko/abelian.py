@@ -3,14 +3,15 @@
 Matrices are plain row-major ``list[list[int]]``; Python integers give
 arbitrary precision for free, and any other entry, like any non-int group
 order, raises ``TypeError`` rather than being truncated.  The matrices
-arising here are tiny (at most about 12x12), so the Smith form is classical
-elimination: each entry beside the pivot is cleared by one 2x2 unimodular
-step, an extended-gcd (Bezout) step when the pivot does not divide it, with
-no search for a smallest pivot.
+arising here are tiny (at most about 12x12), so there is one elimination,
+:func:`_diagonalize`: each entry beside the pivot is cleared by one 2x2
+unimodular step, an extended-gcd (Bezout) step when the pivot does not divide
+it, with no search for a smallest pivot.  ``smith_normal_form`` gets ``U``
+and ``V`` as the identity blocks that ride beside and below the matrix.
 
-A span in (Q/2Z)^n is read straight off the Smith diagonal of its scaled
-generator rows, and a direct sum of cyclic groups is put in invariant-factor
-form by gcd / lcm alone; no integer is ever factored into primes.
+A span in (Q/2Z)^n is read off the diagonal of its scaled generator rows,
+diagonalized alone with no transform; a direct sum of cyclic groups is put in
+invariant-factor form by gcd / lcm alone.  No integer is factored into primes.
 """
 
 from __future__ import annotations
@@ -95,70 +96,71 @@ def _row_step(m: IntMatrix, t: int, i: int, step: tuple[int, int, int, int]) -> 
     m[i] = [z * top + w * low for top, low in pairs]
 
 
-def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Diagonalize an integer matrix by unimodular row and column operations.
-
-    Returns ``(U, D, V)`` with ``U @ mat @ V == D``, ``U`` and ``V`` square of
-    determinant +-1, and ``D`` diagonal with nonnegative entries satisfying
-    ``D[0][0] | D[1][1] | ...``.  Works for any shape, including zero and
-    non-square matrices.
+def _diagonalize(a: IntMatrix, rows: int, cols: int) -> None:
+    """The one Smith elimination: bring the leading ``rows x cols`` block of
+    ``a`` to Smith form in place.  Row steps act on whole rows and column steps
+    on whole columns, so whatever rides beside the block or below it takes the
+    same steps; the pivot search and the stray test look only inside the block.
 
     At step t the first column holding a nonzero entry of the remaining
     block moves to column t.  One pass of 2x2 steps (:func:`_step`) on rows
     t and i clears column t, and one pass on columns t and j clears row t;
     the passes repeat while the column steps refill column t.  If the pivot
     does not divide the whole remaining block, an offending row is added to
-    row t and the passes run again, which lowers the pivot to a gcd.
+    row t and the passes run again, which lowers the pivot to a gcd.  Last,
+    each row with a negative pivot is negated.
+    """
+    for t in range(min(rows, cols)):
+        if not a[t][t]:
+            j = next((j for j in range(t, cols) if any(row[j] for row in a[t:rows])), None)
+            if j is None:
+                break
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+        refilled = True
+        while refilled:
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    _row_step(a, t, i, _step(a[t][t], a[i][t]))
+            # column t is now clear below the pivot inside the block, so a column
+            # step on columns t and j changes only row t and the rows below the
+            # block until an extended-gcd step moves y * column j into column t
+            refilled, top = False, a[t]
+            for j in range(t + 1, cols):
+                if top[j]:
+                    x, y, z, w = _step(top[t], top[j])
+                    top[t], top[j] = x * top[t] + y * top[j], 0
+                    refilled = refilled or y != 0
+                    for row in a[t + 1 if refilled else rows:]:
+                        row[t], row[j] = x * row[t] + y * row[j], z * row[t] + w * row[j]
+            if not refilled:
+                p = top[t]
+                stray = next((i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1:cols])), None)
+                if stray is not None:  # add it to row t
+                    _row_step(a, t, stray, (1, 1, 0, 1))
+                    refilled = True
+    for i in range(min(rows, cols)):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+
+
+def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Diagonalize an integer matrix by unimodular row and column operations.
+
+    Returns ``(U, D, V)`` with ``U @ mat @ V == D``, ``U`` and ``V`` square of
+    determinant +-1, and ``D`` diagonal with nonnegative entries satisfying
+    ``D[0][0] | D[1][1] | ...``.  Works for any shape, including zero and
+    non-square matrices.  ``U`` and ``V`` are what ``I_rows`` beside the
+    matrix and ``I_cols`` below it become in :func:`_diagonalize`.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     if any(len(row) != cols for row in mat):
         raise ValueError("matrix rows have unequal lengths")
-    a = [_ints(row, "matrix entry") for row in mat]
-    u = identity_matrix(rows)
-    vt = identity_matrix(cols)  # V transposed: a column step on a is a row step on vt
-
-    for t in range(min(rows, cols)):
-        if not a[t][t]:
-            j = next((j for j in range(t, cols) if any(row[j] for row in a[t:])), None)
-            if j is None:
-                break
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-            vt[t], vt[j] = vt[j], vt[t]
-        refilled = True
-        while refilled:
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    step = _step(a[t][t], a[i][t])
-                    _row_step(a, t, i, step)
-                    _row_step(u, t, i, step)
-            # column t is now clear below the pivot, so a column step on
-            # columns t and j changes only row t until an extended-gcd step
-            # moves y * column j into column t
-            refilled, top = False, a[t]
-            for j in range(t + 1, cols):
-                if top[j]:
-                    x, y, z, w = step = _step(top[t], top[j])
-                    top[t], top[j] = x * top[t] + y * top[j], 0
-                    _row_step(vt, t, j, step)
-                    refilled = refilled or y != 0
-                    if refilled:
-                        for row in a[t + 1:]:
-                            row[t], row[j] = x * row[t] + y * row[j], z * row[t] + w * row[j]
-            if not refilled:
-                p = top[t]
-                stray = next((i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1:])), None)
-                if stray is not None:  # add it to row t
-                    _row_step(a, t, stray, (1, 1, 0, 1))
-                    _row_step(u, t, stray, (1, 1, 0, 1))
-                    refilled = True
-
-    for i in range(min(rows, cols)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-    return u, a, [list(col) for col in zip(*vt)]
+    a = [_ints(row, "matrix entry") + e for row, e in zip(mat, identity_matrix(rows))]
+    a += identity_matrix(cols)
+    _diagonalize(a, rows, cols)
+    return [row[cols:] for row in a[:rows]], [row[:cols] for row in a[:rows]], a[rows:]
 
 
 class AbelianGroup:
@@ -239,7 +241,7 @@ def quotient_group(generators: Sequence[Sequence[Fraction | int]]) -> AbelianGro
     Scaling by d, the lcm of all denominators, identifies the subgroup with
     L / (L meet 2d*Z^n) for the integer row span L.  Unimodular row and column
     operations keep that type, so it is read off the Smith diagonal d_i of the
-    rows alone: the sum of the cyclic groups of order 2d / gcd(2d, d_i).
+    rows alone, built with no transform: the cyclic groups of order 2d / gcd(2d, d_i).
     Those orders run down a divisibility chain, largest first.  Entries must be
     ``int`` or :class:`~fractions.Fraction`; anything else raises ``TypeError``.
     """
@@ -249,12 +251,10 @@ def quotient_group(generators: Sequence[Sequence[Fraction | int]]) -> AbelianGro
     ambient_dim = len(gens[0]) if gens else 0
     if any(len(g) != ambient_dim for g in gens):
         raise DimensionMismatchError("generators have inconsistent lengths")
-    if not gens or ambient_dim == 0:
-        return AbelianGroup.trivial()
 
     d = lcm(*(x.denominator for g in gens for x in g))
     modulus = 2 * d
-    _, diag, _ = smith_normal_form([[x.numerator * (d // x.denominator) % modulus for x in g]
-                                    for g in gens])
+    diag = [[x.numerator * (d // x.denominator) % modulus for x in g] for g in gens]
+    _diagonalize(diag, len(gens), ambient_dim)
     orders = [modulus // gcd(modulus, row[i]) for i, row in enumerate(diag[:ambient_dim])]
     return AbelianGroup(o for o in reversed(orders) if o > 1)

@@ -42,9 +42,9 @@ SCHEMA = "qko/1"
 # The largest inputs each command accepts; past them it exits 2 before any
 # group is built.  Per doubling of ell, ksp / ko / eta cost 2-3x more, the
 # character table's own work ((ell/4 + 3)^2 short strings) 2-4x and verify's
-# class-value oracles about 4x.  On one CPU of a 2.1 GHz Xeon, chartable
-# --ell 512 takes about 0.13 s and 20 MB, most of it interpreter start-up,
-# and each command at its limit under 3 s and 20 MB.
+# class-value oracles about 4x.  Cold on one CPU of a 2.1 GHz Xeon, each
+# command at its limit ends within 2 s and peaks under 30 MB of RSS (the largest
+# verify 1.0-1.5 s, 24-25 MB; ksp --ell 4096 --nu 16 0.8-1.4 s, 20 MB).
 MAX_ELL = {"chartable": 512, "ksp": 4096, "ko": 4096, "eta": 4096, "verify": 128}
 MAX_NU = 16  # nu of ksp / eta and verify's --max-nu; k and --max-k stop at MAX_NU - 1
 MAX_DIGITS = 100  # per number in a character expression; eta stays cheap and printable

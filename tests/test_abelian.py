@@ -10,16 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qko import verify
+from qko import abelian, verify
 from qko.abelian import (
     AbelianGroup,
     DimensionMismatchError,
+    _diagonalize,
     identity_matrix,
     matrix_determinant,
     matrix_product,
     quotient_group,
     smith_normal_form,
 )
+from qko.groups import GroupParams
+from qko.ktheory import ksp_group
 from qko.verify import brute_force_span
 
 
@@ -63,6 +66,13 @@ def test_snf_zero_and_degenerate_shapes():
     assert snf_postconditions([[4, 6, 8]]) == [2]
     assert snf_postconditions([[4], [6], [8]]) == [2]
     assert snf_postconditions([[-3]]) == [3]
+    # no rows, and one row of no columns
+    assert snf_postconditions([]) == []
+    assert snf_postconditions([[]]) == []
+    # a zero first column: the column swap must be carried into V
+    assert snf_postconditions([[0, 2], [0, 3]]) == [1, 0]
+    # a negative pivot below row 0: its row of U is negated too
+    assert snf_postconditions([[1, 0], [0, -2]]) == [1, 2]
 
 
 def test_snf_random_matrices():
@@ -86,6 +96,32 @@ def int_matrices(draw, size=6):
 @given(int_matrices())
 def test_snf_postconditions_on_random_matrices(mat):
     snf_postconditions(mat)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(int_matrices())
+def test_bare_elimination_leaves_the_smith_diagonal(mat):
+    # a span's matrix goes through the same elimination with nothing riding along
+    a = [list(row) for row in mat]
+    _diagonalize(a, len(mat), len(mat[0]) if mat else 0)
+    assert a == smith_normal_form(mat)[1]
+
+
+def test_spans_build_no_transforms(monkeypatch):
+    ksp_group.cache_clear()
+    want = ksp_group(4, GroupParams(16))
+    ksp_group.cache_clear()
+
+    def no_transform(n):
+        raise AssertionError("a span built a transform")
+
+    monkeypatch.setattr(abelian, "identity_matrix", no_transform)
+    gens = [(Fraction(1), Fraction(1, 2)), (Fraction(1, 2), Fraction(1))]
+    assert quotient_group(gens) == AbelianGroup((4, 4))
+    try:
+        assert ksp_group(4, GroupParams(16)) == want
+    finally:
+        ksp_group.cache_clear()
 
 
 def determinantal_divisors_hold(mat):

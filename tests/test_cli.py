@@ -1,6 +1,7 @@
 """End-to-end behaviour of the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -273,6 +274,39 @@ def test_oversized_input_exits_2_before_any_work(argv, capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "up to" in err or "must be in" in err
+
+
+# The peak RSS that cli.py's MAX_ELL comment and README state for every command
+# at its limit.
+STATED_PEAK_RSS_MB = 30
+
+# Runs one command, reports VmHWM, the peak RSS of its own address space, and
+# exits with the command's code; ru_maxrss would also count the pytest process
+# it was spawned from.
+_PEAK_RSS = """
+import sys
+sys.path.insert(0, sys.argv.pop(1))
+from qko.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("argv", [
+    ("verify", "--ell", "8,16,32,64,128", "--max-nu", "16", "--max-k", "15"),
+    ("ksp", "--ell", "4096", "--nu", "16"),
+], ids=["verify", "ksp"])
+def test_largest_jobs_stay_under_the_stated_peak_rss(argv):
+    """The largest verify and ksp jobs the limits accept, each run cold in a
+    fresh interpreter: exit 0 and a peak RSS under the stated bound."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", _PEAK_RSS, src, *argv, "--format", "json"],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr.split()[-1]) / 1024 < STATED_PEAK_RSS_MB, proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
