@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -43,8 +44,9 @@ SCHEMA = "qko/1"
 # group is built.  Per doubling of ell, ksp / ko / eta cost 2-3x more, the
 # character table's own work ((ell/4 + 3)^2 short strings) 2-4x and verify's
 # class-value oracles about 4x.  Cold on one CPU of a 2.1 GHz Xeon, each
-# command at its limit ends within 2 s and peaks under 30 MB of RSS (the largest
-# verify 1.0-1.5 s, 24-25 MB; ksp --ell 4096 --nu 16 0.8-1.4 s, 20 MB).
+# command at its limit ends within 2 s and its own peak RSS (VmHWM) stays under
+# 30 MB: the largest verify 1.2-1.5 s, 23 MB; ksp --ell 4096 --nu 16 0.9-1.0 s,
+# 19 MB; chartable --ell 512, its JSON streamed, 0.1 s, 16 MB.
 MAX_ELL = {"chartable": 512, "ksp": 4096, "ko": 4096, "eta": 4096, "verify": 128}
 MAX_NU = 16  # nu of ksp / eta and verify's --max-nu; k and --max-k stop at MAX_NU - 1
 MAX_DIGITS = 100  # per number in a character expression; eta stays cheap and printable
@@ -71,8 +73,10 @@ def _matrix_json(matrix) -> dict:
     }
 
 
-def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+def render_json(report: dict) -> None:
+    """Write the report to stdout as it is encoded, never as one string."""
+    json.dump(report, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +364,15 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.format == "json":
+            render_json(report)
+        else:
+            sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early; the flush at exit now writes to devnull and cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

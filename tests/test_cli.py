@@ -188,7 +188,8 @@ def test_verify_json_summary(capsys):
     summary = report["results"]["summary"]
     assert summary["failed"] == 0
     assert summary["total"] == summary["passed"] == len(report["checks"])
-    assert render_json(report) == out
+    render_json(report)
+    assert capsys.readouterr().out == out
 
 
 def test_verify_failure_sets_exit_code(capsys, monkeypatch):
@@ -235,7 +236,50 @@ def test_json_round_trip_is_byte_identical(capsys):
                  ("eta", "--ell", "8", "--nu", "2", "--sigma", "Theta1")):
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
-        assert render_json(json.loads(out)) == out
+        render_json(json.loads(out))
+        assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("chartable", "--ell", "8"), "chartable_ell8.json"),
+    (("ksp", "--ell", "8", "--nu", "2"), "ksp_ell8_nu2.json"),
+    (("verify", "--ell", "8,16"), "verify_ell8-16.json"),
+], ids=["chartable", "ksp", "verify"])
+def test_json_reports_are_streamed_not_built_as_one_string(argv, golden, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report was built as one string")
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / golden).read_text()
+
+
+# Runs one command the way the qko script does, so that its exit code and
+# stderr are what a shell pipeline sees.
+_ENTRYPOINT = """
+import sys
+sys.path.insert(0, sys.argv.pop(1))
+from qko.cli import entrypoint
+entrypoint()
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("chartable", "--ell", "512", "--format", "json"),  # 547 KB, more than a pipe buffer holds
+    ("verify", "--ell", "8,16", "--format", "json"),
+    ("chartable", "--ell", "512"),  # the 301 KB text table, in one write
+], ids=["chartable", "verify", "chartable-text"])
+def test_a_reader_that_closes_early_gets_a_quiet_exit(argv):
+    """``qko ... | head -c 10``: the command keeps its own exit code and writes
+    nothing to stderr when the reader leaves mid-report."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-I", "-c", _ENTRYPOINT, src, *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -298,10 +342,11 @@ sys.exit(code)
 @pytest.mark.parametrize("argv", [
     ("verify", "--ell", "8,16,32,64,128", "--max-nu", "16", "--max-k", "15"),
     ("ksp", "--ell", "4096", "--nu", "16"),
-], ids=["verify", "ksp"])
+    ("chartable", "--ell", "512"),
+], ids=["verify", "ksp", "chartable"])
 def test_largest_jobs_stay_under_the_stated_peak_rss(argv):
-    """The largest verify and ksp jobs the limits accept, each run cold in a
-    fresh interpreter: exit 0 and a peak RSS under the stated bound."""
+    """The largest verify, ksp and chartable jobs the limits accept, each run
+    cold in a fresh interpreter: exit 0 and a peak RSS under the stated bound."""
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-I", "-c", _PEAK_RSS, src, *argv, "--format", "json"],
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)

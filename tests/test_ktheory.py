@@ -349,6 +349,27 @@ def test_main_isomorphism():
                     == ksp_group(k + 1, params).group.invariant_factors)
 
 
+def test_ko_and_ksp_have_one_eta_image():
+    # ko_eta_matrix(k) and ksp_eta_matrix(k + 1) pair against the same twists,
+    # so the isomorphism predicts one subgroup, not only one isomorphism type:
+    # two spans of one order are equal when their stacked rows span no more
+    for params in map(GroupParams, (8, 16, 32, 64, 128, 256)):
+        for k in range(1, 7):
+            ko, ksp = ko_group(k, params), ksp_group(k + 1, params)
+            assert ko.matrix.col_labels == ksp.matrix.col_labels, (params.ell, k)
+            assert ko.order == ksp.order, (params.ell, k)
+            stacked = quotient_group(ko.matrix.rows() + ksp.matrix.rows())
+            assert stacked.order == ko.order, (params.ell, k)
+    # negative control: swapping a theta column with a delta column keeps the
+    # KSp group's type, which is all ko_ksp_isomorphism_check compares, but
+    # moves its image off the ko image
+    ko, ksp = ko_group(1, P8), ksp_group(2, P8)
+    assert ksp.matrix.col_labels == ("Theta1", "Theta2", "2*Delta^1")
+    swapped = [[delta, theta2, theta1] for theta1, theta2, delta in ksp.matrix.rows()]
+    assert quotient_group(swapped) == ksp.group
+    assert quotient_group(ko.matrix.rows() + swapped).order == 2 * ko.order
+
+
 def test_blocks_against_brute_force_enumeration():
     # the n <= 2 blocks of the order-8 computation, re-derived by closing the
     # generating rows under addition mod 2Z
