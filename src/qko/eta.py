@@ -20,16 +20,17 @@ The vector is ``int`` numerators over one positive ``int`` denominator in
 lowest terms, so a pairing is the dot product of two integer vectors, the
 multiplicities of sigma * rho and these numerators, and one ``Fraction``.
 
-The vector is summed over Galois orbits rather than classes.  The rotations
-of H of one order M >= 4 form an orbit of zeta -> zeta^t (t odd), which
-carries chi(h) / det(I - tau(h)) to its conjugates, so their sum is a field
-trace: M/2 times the constant coefficient of that quotient at one rotation,
-whose det(I - tau) is that of xi in the group of order 2M, built in the
-field of conductor M.  So each order costs one determinant and one tower
-inverse, whatever tau is.  The other classes are rational: det(I - tau) is
-4^nu at -1 and 2^nu at the reflections xi^a J.  So a subgroup enters only
-through its order, rotation orders and reflections of each parity, in
-closed form.  Every value is exact and rational by construction.
+Each subgroup H meets the rotations in the powers of xi^(ell/2M), M = ell/2 in
+the full group, 4 in <I> and 2 in <J> and <xi*J>, so the vector is a fold of
+one rotation sum T(u) = sum over zeta^M = 1, zeta != 1 of zeta^u /
+det(I - tau(zeta)), u mod M (:func:`_rotation_sums`): a 1-dimensional
+character reads T(0) or T(M/2), gamma_u reads T(u) + T(-u), and each
+reflection xi^a J adds its sign over 2^nu.  In T, zeta = -1 gives
+(-1)^u / 4^nu, and the roots of one order m >= 4 form an orbit of zeta ->
+zeta^t (t odd), so their sum is a field trace: m/2 times one constant
+coefficient in the field of conductor m, where det(I - tau) is that of xi in
+the group of order 2m.  So each order costs one determinant and one tower
+inverse, whatever tau is.  Every value is exact and rational by construction.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .groups import (
     Subgroup,
     VirtualCharacter,
     det_I_minus,
-    irreducible_labels,
     one_dim_sign,
     standard_fpf,
 )
@@ -132,51 +132,46 @@ def _shifted_constant(y: Cyclo, j: int) -> int:
     return y.nums[e] if e < n else -y.nums[e - n]
 
 
-def _subgroup_shape(params: GroupParams, subgroup: Subgroup
-                    ) -> tuple[int, tuple[int, ...], tuple[int, int]]:
-    """|H|, the orders M >= 4 of its rotations xi^a (it holds every rotation of
-    each order it meets) and its numbers of reflections xi^a J with a even and
-    odd: every order 4, ..., ell/2 and ell/4 of each parity in the full group;
-    <I> = {+-1, +-I} has order 4; <J> = {+-1, +-J} and <xi*J> = {+-1, +-xi*J}
-    hold two of the parity of J, resp. xi*J, as -J = xi^(ell/4) J, ell/4 even."""
+def _rotation_sums(summands: tuple[int, ...], order: int) -> tuple[tuple[int, ...], int]:
+    """T(u) for each u mod M = order, as int numerators over one int denominator
+    that 4^nu divides: zeta = -1 gives (-1)^u / 4^nu, and the roots of each order
+    4 <= m | M their Galois trace (m/2) * c0(zeta_m^u * y), y = _inverse_det."""
+    quad = 4 ** len(summands)
+    levels = [_inverse_det(summands, 1 << k) for k in range(2, order.bit_length())]
+    den = lcm(quad, *(y.den for y in levels))
+    sums = [den // quad, -den // quad] * (order // 2)
+    for y in levels:  # the trace of order m is m/2 = len(y.nums) times c0
+        scale = len(y.nums) * (den // y.den)
+        sums = [t + scale * _shifted_constant(y, u) for u, t in enumerate(sums)]
+    return tuple(sums), den
+
+
+def _subgroup_shape(params: GroupParams, subgroup: Subgroup) -> tuple[int, int, tuple[int, int]]:
+    """|H|, the order M of its rotations (the powers of xi^(ell/2M), -1 among them)
+    and its numbers of reflections xi^a J with a even and odd: ell/2 and ell/4 of
+    each parity in the full group, 4 and none in <I> = {+-1, +-I}, and 2 and two of
+    the parity of J, resp. xi*J, in <J> and <xi*J>, as -J = xi^(ell/4) J, ell/4 even."""
     if subgroup is Subgroup.FULL:
-        q = params.quarter
-        return params.ell, tuple(1 << k for k in range(2, params.ell.bit_length() - 1)), (q, q)
-    return {Subgroup.GEN_I: (4, (4,), (0, 0)), Subgroup.GEN_J: (4, (), (2, 0)),
-            Subgroup.GEN_XI_J: (4, (), (0, 2))}[subgroup]
+        return params.ell, params.half, (params.quarter, params.quarter)
+    return {Subgroup.GEN_I: (4, 4, (0, 0)), Subgroup.GEN_J: (4, 2, (2, 0)),
+            Subgroup.GEN_XI_J: (4, 2, (0, 2))}[subgroup]
 
 
 @lru_cache(maxsize=None)
 def _eta_numerators(params: GroupParams, subgroup: Subgroup,
                     summands: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    # The eta vector as int numerators over one positive int denominator in lowest
-    # terms: each term over the lcm of 4^nu (2^nu divides it) and the levels' y.den.
+    # The eta vector as int numerators over one positive int denominator in lowest terms.
     SpaceForm(params, subgroup, FpfRep(params, summands))  # rejects bad subgroups and summands
-    order, orders, reflections = _subgroup_shape(params, subgroup)
-    half, nu = params.half, len(summands)
-    levels = [(m, _inverse_det(summands, m)) for m in orders]
-    common = lcm(4 ** nu, *(y.den for _, y in levels))
-    # each level's trace M/2 times its constant coefficient, over common
-    levels = [(m, m // 2 * (common // y.den), y) for m, y in levels]
-    # det(I - tau) is 4^nu at -1 and 2^nu at every reflection xi^a J
-    at_minus_one, at_reflection = common // 4 ** nu, common // 2 ** nu
-    nums = []
-    for p in range(len(irreducible_labels(params))):
-        if p < 4:
-            total = at_minus_one + at_reflection * sum(one_dim_sign(p, a, 1) * count
-                                                       for a, count in enumerate(reflections))
-            # the rotation of order m is xi^(half/m)
-            total += sum(scale * one_dim_sign(p, half // m, 0) * y.nums[0]
-                         for m, scale, y in levels)
-        else:
-            u = p - 3
-            total = 2 * (-1) ** u * at_minus_one
-            total += sum(scale * (_shifted_constant(y, u) + _shifted_constant(y, -u))
-                         for _, scale, y in levels)
-        nums.append(total)
-    den = common * order
-    g = gcd(den, *nums)
-    return tuple(x // g for x in nums), den // g
+    order, rotations, reflections = _subgroup_shape(params, subgroup)
+    sums, den = _rotation_sums(summands, rotations)
+    step, at_reflection = params.half // rotations, den >> len(summands)
+    # a 1-dimensional character is t^0 or t^(M/2) on <xi^step>; a reflection adds sign / 2^nu
+    nums = [sums[0 if one_dim_sign(p, step, 0) > 0 else rotations // 2]
+            + at_reflection * sum(one_dim_sign(p, a, 1) * count for a, count in enumerate(reflections))
+            for p in range(4)]
+    nums += [sums[u % rotations] + sums[-u % rotations] for u in range(1, params.quarter)]
+    g = gcd(den * order, *nums)
+    return tuple(x // g for x in nums), den * order // g
 
 
 def eta_vector(params: GroupParams, subgroup: Subgroup,

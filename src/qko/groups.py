@@ -16,12 +16,13 @@ representation ring by integer fusion rules on positions, never through
 their class values: the 1-dimensional characters form a Klein group, a
 1-dimensional character fixes or reflects the index u of gamma_u, and
 gamma_u * gamma_v = gamma_(u+v) + gamma_(u-v), folded back into range.  The
-classes theta_i and delta^r are closed forms or fusion products, and c_i for
-i <= 0 is a cotangent power sum, so this module imports from qko.cyclotomic
-alone.  No element is multiplied or enumerated here: the group law, character
-values at elements and class values live in :mod:`qko.oracles`.  The
-character table is written from the exponents of the at most two roots of
-unity in each value; the one Cyclo the engine builds is :func:`det_I_minus`.
+classes theta_i and delta^r are closed forms or fusion products, and c_i is a
+binomial sum (i >= 1) or a cotangent power sum (i <= 0), so this module
+imports from qko.cyclotomic alone.  No element is multiplied or enumerated
+here: the group law, character values at elements and class values live in
+:mod:`qko.oracles`.  The character table is written from the exponents of
+the at most two roots of unity in each value; the one Cyclo the engine
+builds is :func:`det_I_minus`.
 """
 
 from __future__ import annotations
@@ -357,14 +358,17 @@ def delta_power(r: int, params: GroupParams) -> VirtualCharacter:
 def c_constant(i: int, params: GroupParams) -> Fraction:
     """(1/ell) * sum over nonidentity g of det(I - gamma1(g))^i; i may be negative.
 
-    For i >= 1 that is the multiplicity of rho0 in delta^i (delta vanishes at
-    the identity).  For i = -k <= 0, with M = ell/2, the M reflections give
-    det 2 and the rotations the M - 1 roots x of sin^2(Mt)/sin^2(t) = M^2 sum_r
-    a_r x^r, x = 4 sin^2 t, a_r = (-1)^r C(M+r, 2r+1)/((r+1)M); c_i = (S_k + M/2^k)/ell.
+    With M = ell/2, the M reflections give det 2 and the rotations 2 - z - 1/z at
+    the M-th roots of unity z.  For i >= 1, summing over z keeps M times the terms
+    (-1)^e C(2i, i+e) z^e of (2 - z - 1/z)^i with M | e: c_i = (2^i + their sum)/2.
+    For i = -k <= 0 the rotations but 1 give the M - 1 roots x of
+    sin^2(Mt)/sin^2(t) = M^2 sum_r a_r x^r, x = 4 sin^2 t,
+    a_r = (-1)^r C(M+r, 2r+1)/((r+1)M); c_i = (S_k + M/2^k)/ell.
     """
-    if i > 0:
-        return Fraction(delta_power(i, params).vector[0])
     m, k = params.half, -i
+    if i > 0:  # the sign from e's parity: (-1) ** e is a float for e < 0
+        return Fraction(2 ** i + sum(-comb(2 * i, i + e) if e % 2 else comb(2 * i, i + e)
+                                     for e in range(-(i // m) * m, i + 1, m)), 2)
     a = [Fraction((-1) ** r * comb(m + r, 2 * r + 1), (r + 1) * m) for r in range(k + 1)]
     sums = [Fraction(m - 1)]  # S_n, the sum of x^(-n), by Newton's identities
     for n in range(1, k + 1):

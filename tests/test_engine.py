@@ -260,19 +260,22 @@ def test_k_groups_never_reach_an_oracle(monkeypatch, capsys):
 
 
 def test_subgroup_shape_matches_the_enumeration():
-    """The engine's closed-form order, rotation orders >= 4 and reflection
+    """The engine's closed-form order, order M of the rotations and reflection
     parity counts of each subgroup, against the oracles' element enumeration."""
     for ell in (2 ** j for j in range(3, 13)):
         params = GroupParams(ell)
         group, half = quaternion_group(params), params.half
         for subgroup in Subgroup:
             members = group.subgroup_elements(subgroup)
-            # the engine counts -1 in every subgroup, with det(I - tau) = 4^nu there
+            # the engine sums over the rotations other than 1, -1 among them in every subgroup
             assert group.element(params.quarter, 0) in members
-            orders = sorted({half // gcd(h.a, half) for h in members if not h.b and h.a} - {2})
+            rotations = {h.a for h in members if not h.b}
+            order = max(half // gcd(a, half) for a in rotations)
+            # every rotation is a power of xi^(ell/2M), so the engine's T on Z/M covers them
+            assert all(a % (half // order) == 0 for a in rotations), (ell, subgroup)
             parities = tuple(sum(1 for h in members if h.b and h.a % 2 == r) for r in (0, 1))
             assert eta._subgroup_shape(params, subgroup) == \
-                (len(members), tuple(orders), parities), (ell, subgroup)
+                (len(members), order, parities), (ell, subgroup)
 
 
 def test_oracles_never_reach_the_engine_determinant(monkeypatch):

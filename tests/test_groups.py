@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qko import groups
 from qko.cli import parse_character
 from qko.cyclotomic import Cyclo
 from qko.eta import eta_vector
@@ -339,6 +340,24 @@ def test_c_constants():
     for params in (P8, P16):
         for r in (1, 2, 3, 4):
             assert c_constant(r, params) == delta_power(r, params).mults.get("rho0", 0)
+
+
+def test_c_constants_need_no_fusion_product(monkeypatch):
+    """c_i for i = 1..32 in closed form, with every fusion product made to
+    raise, against the rho0 entry of delta^i; from ell = 128 on, M = ell/2
+    exceeds i and c_i no longer depends on ell, up to ell = 2^64."""
+    want = {ell: [delta_power(i, GroupParams(ell)).vector[0] for i in range(1, 33)]
+            for ell in (8, 16, 32, 64, 128)}
+    c_constant.cache_clear()
+
+    def fusion_called(*args, **kwargs):
+        raise AssertionError("a fusion product was formed")
+
+    for name in ("fusion_product", "delta_power"):
+        monkeypatch.setattr(groups, name, fusion_called)
+    for e in range(3, 65):
+        params = GroupParams(2 ** e)
+        assert [c_constant(i, params) for i in range(1, 33)] == want[min(params.ell, 128)], e
 
 
 def test_c_parity():
