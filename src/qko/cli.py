@@ -2,20 +2,20 @@
 
 Subcommands: ``chartable`` (character table and span summary), ``ksp`` and
 ``ko`` (K-group structure reports), ``eta`` (a single twisted pairing), and
-``verify`` (the full named-check suite).  Reports come as aligned text or as
-JSON with every rational rendered as an exact "p/q" string; nothing is ever
-a float.  Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage error.
+``verify`` (the full named-check suite).  ``parse_args`` reads each command's
+flags from ``FLAGS``.  Reports are aligned text or JSON with every rational an
+exact "p/q" string, never a float.  Exit codes: 0 success / all checks pass,
+1 verification failure, 2 usage error (one ``error:`` line on stderr).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .abelian import AbelianGroup
 from .checks import Check, _check
@@ -45,8 +45,8 @@ SCHEMA = "qko/1"
 # character table's own work ((ell/4 + 3)^2 short strings) 2-4x and verify's
 # class-value oracles about 4x.  Cold on one CPU of a 2.1 GHz Xeon, each
 # command at its limit ends within 2 s and its own peak RSS (VmHWM) stays under
-# 30 MB: the largest verify 1.2-1.5 s, 23 MB; ksp --ell 4096 --nu 16 0.9-1.0 s,
-# 19 MB; chartable --ell 512, its JSON streamed, 0.1 s, 16 MB.
+# 30 MB: the largest verify 1.2-1.5 s, 23.0 MB; ksp --ell 4096 --nu 16 0.9-1.0 s,
+# 18.7 MB; chartable --ell 512, its JSON streamed, 0.1 s, 15.5 MB.
 MAX_ELL = {"chartable": 512, "ksp": 4096, "ko": 4096, "eta": 4096, "verify": 128}
 MAX_NU = 16  # nu of ksp / eta and verify's --max-nu; k and --max-k stop at MAX_NU - 1
 MAX_DIGITS = 100  # per number in a character expression; eta stays cheap and printable
@@ -309,44 +309,68 @@ def cmd_verify(args) -> tuple[dict, str, int]:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qko",
-        description="Exact quaternion-group eta invariants and K-group structures.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's one-line help and its flags, as flag: (type, default, choices);
+# a default of ... marks a required flag.
+_FORMAT = {"--format": (str, "text", ("text", "json"))}
+FLAGS = {
+    "chartable": ("character table, indicators and span summary",
+                  {"--ell": (int, ..., None), **_FORMAT}),
+    "ksp": ("KSp of the 4*nu-1 dimensional space form",
+            {"--ell": (int, ..., None), "--nu": (int, ..., None), **_FORMAT}),
+    "ko": ("real connective K-theory in degree 4k-1",
+           {"--ell": (int, ..., None), "--k": (int, ..., None), **_FORMAT}),
+    "eta": ("a single (twisted) eta invariant",
+            {"--ell": (int, ..., None), "--nu": (int, ..., None), "--sigma": (str, ..., None),
+             "--bundle": (str, None, None),
+             "--subgroup": (str, "full", tuple(s.value for s in Subgroup)), **_FORMAT}),
+    "verify": ("run the full verification suite on comma-separated group orders, e.g. 8,16",
+               {"--ell": (str, ..., None), "--max-nu": (int, 4, None),
+                "--max-k": (int, 3, None), **_FORMAT}),
+}
 
-    def add_common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("chartable", help="character table, indicators and span summary")
-    p.add_argument("--ell", type=int, required=True)
-    add_common(p)
+def _usage(command: str) -> str:
+    about, flags = FLAGS[command]
+    words = [("{} {}" if default is ... else "[{} {}]").format(
+        flag, "{%s}" % ",".join(choices) if choices else flag[2:].upper())
+        for flag, (_, default, choices) in flags.items()]
+    return f"usage: qko {command} [-h] {' '.join(words)}\n    {about}\n"
 
-    p = sub.add_parser("ksp", help="KSp of the 4*nu-1 dimensional space form")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--nu", type=int, required=True)
-    add_common(p)
 
-    p = sub.add_parser("ko", help="real connective K-theory in degree 4k-1")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    add_common(p)
-
-    p = sub.add_parser("eta", help="a single (twisted) eta invariant")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--sigma", type=str, required=True)
-    p.add_argument("--bundle", type=str, default=None)
-    p.add_argument("--subgroup", choices=[s.value for s in Subgroup], default="full")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--ell", type=str, required=True,
-                   help="comma-separated group orders, e.g. 8,16")
-    p.add_argument("--max-nu", type=int, default=4)
-    p.add_argument("--max-k", type=int, default=3)
-    add_common(p)
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and a field per flag (``--max-nu`` as ``max_nu``), set by ``--flag value``,
+    ``--flag=value`` or a unique prefix, the last one winning; for ``-h``, the usage as ``help``."""
+    command, flags, values = None, {}, {}
+    tokens = iter(argv)
+    for token in tokens:
+        names = (*flags, "--help")
+        name = "--help" if token == "-h" else token.split("=", 1)[0]
+        matches = [name] if name in names else [
+            n for n in names if name.startswith("--") and len(name) > 2 and n.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {name} could match {', '.join(matches)}")
+        if matches == ["--help"] and "=" not in token:
+            return SimpleNamespace(command=None, format="text",
+                                   help="".join(map(_usage, [command] if command else FLAGS)))
+        if matches and matches[0] in flags:  # the next token is the value, even "-..."
+            flag = matches[0]
+            kind, _, choices = flags[flag]
+            text = token.split("=", 1)[1] if "=" in token else next(tokens, None)
+            if text is None or choices and text not in choices:
+                raise UsageError(f"argument {flag}: expected {' or '.join(choices or ['a value'])}")
+            try:
+                values[flag] = kind(text)
+            except ValueError:
+                raise UsageError(f"argument {flag}: invalid int value: {text!r}") from None
+        elif command is None and token in FLAGS:
+            command, flags = token, FLAGS[token][1]
+        else:
+            raise UsageError(f"unrecognized argument: {token!r}")
+    missing = [f for f, (_, default, _) in flags.items() if default is ... and f not in values]
+    if command is None or missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing) or 'command'}")
+    return SimpleNamespace(command=command, **{flag[2:].replace("-", "_"): values.get(flag, default)
+                                               for flag, (_, default, _) in flags.items()})
 
 
 _COMMANDS = {"chartable": cmd_chartable, "ksp": cmd_ksp, "ko": cmd_ko,
@@ -354,13 +378,9 @@ _COMMANDS = {"chartable": cmd_chartable, "ksp": cmd_ksp, "ko": cmd_ko,
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
-    try:
-        report, text, code = _COMMANDS[args.command](args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        report, text, code = _COMMANDS[args.command](args) if args.command else (None, args.help, 0)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """End-to-end behaviour of the command-line front end."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 from qko import cli, cyclotomic
 from qko.cli import _kgroup_report, main, parse_character, render_json, UsageError
-from qko.groups import GroupParams, VirtualCharacter, delta_power, theta
+from qko.groups import GroupParams, Subgroup, VirtualCharacter, delta_power, theta
 from qko.ktheory import ksp_group
 
 
@@ -284,6 +285,182 @@ def test_a_reader_that_closes_early_gets_a_quiet_exit(argv):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI had before its flag table, kept as the reference."""
+    parser = argparse.ArgumentParser(
+        prog="qko",
+        description="Exact quaternion-group eta invariants and K-group structures.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+
+    p = sub.add_parser("chartable", help="character table, indicators and span summary")
+    p.add_argument("--ell", type=int, required=True)
+    add_common(p)
+
+    p = sub.add_parser("ksp", help="KSp of the 4*nu-1 dimensional space form")
+    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--nu", type=int, required=True)
+    add_common(p)
+
+    p = sub.add_parser("ko", help="real connective K-theory in degree 4k-1")
+    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    add_common(p)
+
+    p = sub.add_parser("eta", help="a single (twisted) eta invariant")
+    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--nu", type=int, required=True)
+    p.add_argument("--sigma", type=str, required=True)
+    p.add_argument("--bundle", type=str, default=None)
+    p.add_argument("--subgroup", choices=[s.value for s in Subgroup], default="full")
+    add_common(p)
+
+    p = sub.add_parser("verify", help="run the full verification suite")
+    p.add_argument("--ell", type=str, required=True,
+                   help="comma-separated group orders, e.g. 8,16")
+    p.add_argument("--max-nu", type=int, default=4)
+    p.add_argument("--max-k", type=int, default=3)
+    add_common(p)
+    return parser
+
+
+ACCEPTED = [
+    ("chartable", "--ell", "8"),
+    ("chartable", "--format", "json", "--ell", "16"),
+    ("chartable", "--ell=8", "--format=json"),
+    ("chartable", "--e", "8", "--f", "json"),
+    ("chartable", "--ell", "8", "--ell", "16", "--format", "json", "--format", "text"),
+    ("ksp", "--ell", "8", "--nu", "2"),
+    ("ksp", "--nu=3", "--ell=16", "--format", "text"),
+    ("ksp", "--el", "8", "--n", "2", "--fo=json"),
+    ("ksp", "--ell", "8", "--nu", "2", "--nu", "5"),
+    ("ksp", "--ell", " 8 ", "--nu", "+2"),  # int() strips blanks and reads a sign
+    ("ksp", "--ell", "1_6", "--nu", "2"),
+    ("ksp", "--ell", "-8", "--nu", "2"),  # a negative number is a value, then exit 2 in cmd_ksp
+    ("ko", "--ell", "8", "--k", "1"),
+    ("ko", "--k=2", "--ell", "32", "--format=json"),
+    ("ko", "--e", "8", "--k", "1", "--k", "3"),
+    ("eta", "--ell", "8", "--nu", "2", "--sigma", "Theta1"),
+    ("eta", "--ell", "8", "--nu", "2", "--sigma", "Delta^2", "--bundle", "Delta^1",
+     "--subgroup", "I", "--format", "json"),
+    ("eta", "--ell=16", "--nu=3", "--sigma=-Theta1", "--bundle=", "--subgroup=xiJ"),
+    ("eta", "--ell", "8", "--nu", "2", "--si", "2*Theta1 - Delta^3", "--b", "Delta",
+     "--su", "J"),
+    ("eta", "--ell", "8", "--nu", "2", "--sigma", "-Theta1 + Delta", "--bundle", ""),
+    ("eta", "--ell", "8", "--nu", "2", "--sigma", "Theta1", "--sigma", "Theta2",
+     "--subgroup", "I", "--subgroup", "full"),
+    ("verify", "--ell", "8,16"),
+    ("verify", "--ell=8", "--max-nu", "3", "--max-k=2"),
+    ("verify", "--e", "8,16,32", "--max-n", "5", "--max-k", "1", "--max-k", "2", "--f", "json"),
+]
+
+REJECTED = [
+    (),  # no command
+    ("kso", "--ell", "8", "--nu", "2"),  # an unknown command
+    ("ks", "--ell", "8", "--nu", "2"),  # a command is never abbreviated
+    ("ksp", "--ell", "8", "--nu", "2", "--bogus", "1"),  # an unknown flag
+    ("--ell", "8", "ksp", "--nu", "2"),  # a command's flag before the command
+    ("verify", "--ell", "8", "--max", "3"),  # ambiguous: --max-nu or --max-k
+    ("eta", "--ell", "8", "--nu", "2", "--s", "Theta1"),  # ambiguous: --sigma or --subgroup
+    ("ksp", "--ell", "8", "--nu"),  # a missing value
+    ("ksp", "--ell", "8"),  # a missing required flag
+    ("eta", "--ell", "8", "--nu", "2"),
+    ("ksp", "--ell", "abc", "--nu", "2"),
+    ("ksp", "--ell", "7" * 5000, "--nu", "2"),  # past int()'s limit on digits
+    ("ksp", "--ell=", "--nu", "2"),
+    ("ksp", "--ell", "8", "--nu", "2", "--format", "xml"),
+    ("ksp", "--ell", "8", "--nu", "2", "--format="),
+    ("eta", "--ell", "8", "--nu", "2", "--sigma", "Theta1", "--subgroup", "K"),
+    ("ksp", "--ell", "8", "--nu", "2", "extra"),  # a stray positional
+    ("ksp", "extra", "--ell", "8", "--nu", "2"),
+    ("ksp", "--ell", "8", "--nu", "2", "--"),
+    ("ksp", "--help=x"),
+    ("ksp", "-hx"),
+]
+
+# The one argv whose result differs from the reference: argparse took a value
+# that starts with "-" for a flag and rejected it; now the token after a flag is
+# always its value.
+LEADING_DASH = ("eta", "--ell", "8", "--nu", "2", "--sigma", "-Theta1", "--bundle", "-Delta^3")
+
+
+def _outcome(parse, argv) -> dict | str:
+    """The fields an argv parses to, or "rejected"."""
+    try:
+        return vars(parse(list(argv)))
+    except (SystemExit, UsageError):
+        return "rejected"
+
+
+@pytest.mark.parametrize("argv", ACCEPTED + REJECTED + [LEADING_DASH])
+def test_the_flag_table_parses_as_argparse_did(argv, capsys):
+    expected = _outcome(reference_parser().parse_args, argv)
+    capsys.readouterr()
+    assert (expected == "rejected") == (argv in REJECTED + [LEADING_DASH])
+    got = _outcome(cli.parse_args, argv)
+    if argv == LEADING_DASH:
+        assert got == {"command": "eta", "ell": 8, "nu": 2, "sigma": "-Theta1",
+                       "bundle": "-Delta^3", "subgroup": "full", "format": "text"}
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("argv", REJECTED)
+def test_a_parse_error_exits_2_with_one_error_line(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+
+
+def test_an_expression_may_start_with_a_minus_sign(capsys):
+    # argparse read "-Theta1" as an unknown flag and exited 2
+    code, out, err = run_cli(capsys, "eta", "--ell", "8", "--nu", "2", "--sigma", "-Theta1",
+                             "--subgroup", "I", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["exact"] == "-1/4"  # test_eta_subgroup's 1/4, negated
+    assert run_cli(capsys, "eta", "--ell", "8", "--nu", "2", "--sigma=-Theta1",
+                   "--subgroup", "I", "--format", "json")[1] == out
+
+
+@pytest.mark.parametrize("command", [None, *cli.FLAGS])
+def test_help_lists_every_flag(command, capsys):
+    for flag in ("-h", "--help", "--he"):
+        code, out, err = run_cli(capsys, *([command] if command else []), flag)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: qko ")
+        for name in [command] if command else cli.FLAGS:
+            assert f"usage: qko {name} [-h] " in out and cli.FLAGS[name][0] in out
+            assert all(f" {f} " in out or f"[{f} " in out for f in cli.FLAGS[name][1])
+
+
+_MODULES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+if len(sys.argv) > 2:
+    from qko.cli import main
+    main(sys.argv[2:])
+print(" ".join(sys.modules), file=sys.stderr)
+"""
+
+
+def test_a_job_loads_no_argparse_gettext_or_locale():
+    def loaded(*argv):
+        proc = subprocess.run([sys.executable, "-I", "-c", _MODULES, src, *argv],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stderr.split())
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    bare = loaded()
+    job = loaded("ksp", "--ell", "8", "--nu", "2", "--format", "json")
+    assert "qko.cli" in job
+    assert not {"argparse", "gettext", "locale"} & (job - bare)
 
 
 def test_out_of_range_indices_are_usage_errors(capsys):
