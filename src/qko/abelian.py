@@ -10,8 +10,9 @@ it, with no search for a smallest pivot.  ``smith_normal_form`` gets ``U``
 and ``V`` as the identity blocks that ride beside and below the matrix.
 
 A span in (Q/2Z)^n is read off the diagonal of its scaled generator rows,
-diagonalized alone with no transform; a direct sum of cyclic groups is put in
-invariant-factor form by gcd / lcm alone.  No integer is factored into primes.
+diagonalized alone modulo 2d with no transform; a direct sum of cyclic groups
+is put in invariant-factor form by gcd / lcm alone.  No integer is factored
+into primes.
 """
 
 from __future__ import annotations
@@ -87,20 +88,26 @@ def _step(p: int, e: int) -> tuple[int, int, int, int]:
     return x, y, -(e // g), p // g
 
 
-def _row_step(m: IntMatrix, t: int, i: int, step: tuple[int, int, int, int]) -> None:
-    # rows t, i of m become x*row_t + y*row_i, z*row_t + w*row_i; y = 0 only with x = 1
+def _row_step(m: IntMatrix, t: int, i: int, step: tuple[int, int, int, int], modulus: int) -> None:
+    # rows t, i of m become x*row_t + y*row_i, z*row_t + w*row_i, reduced mod a
+    # nonzero modulus; y = 0 only with x = 1
     x, y, z, w = step
     pairs = list(zip(m[t], m[i]))
     if y:
         m[t] = [x * top + y * low for top, low in pairs]
     m[i] = [z * top + w * low for top, low in pairs]
+    if modulus:
+        m[t], m[i] = [v % modulus for v in m[t]], [v % modulus for v in m[i]]
 
 
-def _diagonalize(a: IntMatrix, rows: int, cols: int) -> None:
+def _diagonalize(a: IntMatrix, rows: int, cols: int, modulus: int = 0) -> None:
     """The one Smith elimination: bring the leading ``rows x cols`` block of
     ``a`` to Smith form in place.  Row steps act on whole rows and column steps
     on whole columns, so whatever rides beside the block or below it takes the
     same steps; the pivot search and the stray test look only inside the block.
+    With a nonzero ``modulus`` each step reduces what it writes mod ``modulus``,
+    for a block read mod ``modulus``; ``gcd(modulus, p)`` of a pivot p still
+    divides every later entry.
 
     At step t the first column holding a nonzero entry of the remaining
     block moves to column t.  One pass of 2x2 steps (:func:`_step`) on rows
@@ -121,7 +128,7 @@ def _diagonalize(a: IntMatrix, rows: int, cols: int) -> None:
         while refilled:
             for i in range(t + 1, rows):
                 if a[i][t]:
-                    _row_step(a, t, i, _step(a[t][t], a[i][t]))
+                    _row_step(a, t, i, _step(a[t][t], a[i][t]), modulus)
             # column t is now clear below the pivot inside the block, so a column
             # step on columns t and j changes only row t and the rows below the
             # block until an extended-gcd step moves y * column j into column t
@@ -133,11 +140,13 @@ def _diagonalize(a: IntMatrix, rows: int, cols: int) -> None:
                     refilled = refilled or y != 0
                     for row in a[t + 1 if refilled else rows:]:
                         row[t], row[j] = x * row[t] + y * row[j], z * row[t] + w * row[j]
+                        if modulus:
+                            row[t], row[j] = row[t] % modulus, row[j] % modulus
             if not refilled:
                 p = top[t]
                 stray = next((i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1:cols])), None)
                 if stray is not None:  # add it to row t
-                    _row_step(a, t, stray, (1, 1, 0, 1))
+                    _row_step(a, t, stray, (1, 1, 0, 1), modulus)
                     refilled = True
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
@@ -239,9 +248,10 @@ def quotient_group(generators: Sequence[Sequence[Fraction | int]]) -> AbelianGro
     """Isomorphism type of the subgroup of (Q/2Z)^n spanned by the generators.
 
     Scaling by d, the lcm of all denominators, identifies the subgroup with
-    L / (L meet 2d*Z^n) for the integer row span L.  Unimodular row and column
-    operations keep that type, so it is read off the Smith diagonal d_i of the
-    rows alone, built with no transform: the cyclic groups of order 2d / gcd(2d, d_i).
+    L / (L meet 2d*Z^n) for the integer row span L, which depends only on the rows
+    mod 2d.  Unimodular row and column operations keep that type, so it is read
+    off the diagonal d_i of the rows alone, diagonalized modulo 2d with no
+    transform: the cyclic groups of order 2d / gcd(2d, d_i).
     Those orders run down a divisibility chain, largest first.  Entries must be
     ``int`` or :class:`~fractions.Fraction`; anything else raises ``TypeError``.
     """
@@ -255,6 +265,6 @@ def quotient_group(generators: Sequence[Sequence[Fraction | int]]) -> AbelianGro
     d = lcm(*(x.denominator for g in gens for x in g))
     modulus = 2 * d
     diag = [[x.numerator * (d // x.denominator) % modulus for x in g] for g in gens]
-    _diagonalize(diag, len(gens), ambient_dim)
+    _diagonalize(diag, len(gens), ambient_dim, modulus)
     orders = [modulus // gcd(modulus, row[i]) for i, row in enumerate(diag[:ambient_dim])]
     return AbelianGroup(o for o in reversed(orders) if o > 1)

@@ -19,6 +19,7 @@ from types import SimpleNamespace
 
 from .abelian import AbelianGroup
 from .checks import Check, _check
+from .cyclotomic import Mod2Z
 from .eta import SpaceForm, eta_pair
 from .groups import (
     GroupElement,
@@ -266,16 +267,17 @@ def cmd_eta(args) -> tuple[dict, str, int]:
     bundle = parse_character(params, args.bundle) if args.bundle is not None else None
     space = SpaceForm(params, Subgroup(args.subgroup), standard_fpf(params, args.nu))
     value = eta_pair(space, sigma, bundle)
+    exact, residue = _frac_str(value), _frac_str(Mod2Z(value).rep)
     params_json = {"ell": params.ell, "nu": args.nu, "sigma": args.sigma,
                    "bundle": args.bundle, "subgroup": args.subgroup}
-    results = {"exact": _frac_str(value.exact), "mod_2Z": _frac_str(value.residue.rep)}
+    results = {"exact": exact, "mod_2Z": residue}
     report = {"schema": SCHEMA, "command": "eta", "params": params_json,
               "results": results, "checks": []}
     text = (f"eta invariant over subgroup '{args.subgroup}' with {args.nu} summands\n"
             f"sigma:  {sigma}\n"
             f"bundle: {bundle if bundle is not None else '(untwisted)'}\n"
-            f"exact:  {_frac_str(value.exact)}\n"
-            f"mod 2Z: {_frac_str(value.residue.rep)}\n")
+            f"exact:  {exact}\n"
+            f"mod 2Z: {residue}\n")
     return report, text, 0
 
 

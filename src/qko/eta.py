@@ -5,9 +5,10 @@ virtual character sigma is the finite sum
 
     (1/|H|) * sum over h in H - {1} of  Tr sigma(h) * det(I - tau(h))^(-1),
 
-reduced mod 2Z.  Twisting by a virtual bundle rho inserts the extra factor
+read mod 2Z.  Twisting by a virtual bundle rho inserts the extra factor
 Tr rho(h); a cartesian Z^(4j) factor multiplies the value by its A-roof genus
-(2 for odd j, 1 otherwise).
+(2 for odd j, 1 otherwise).  The functions here return the exact rational;
+whoever reads a residue takes ``Mod2Z`` of it.
 
 The sum is linear in the class function sigma * rho, so it is evaluated in
 the representation ring.  The fusion rules of :mod:`qko.groups` expand
@@ -40,9 +41,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple
 
-from .cyclotomic import Cyclo, Mod2Z
+from .cyclotomic import Cyclo
 from .groups import (
     FpfRep,
     GroupElement,
@@ -97,26 +97,11 @@ def quaternion_space(params: GroupParams, nu: int, z_factor: int = 0) -> SpaceFo
     return SpaceForm(params, Subgroup.FULL, standard_fpf(params, nu), z_factor)
 
 
-def lens_space(params: GroupParams, subgroup: Subgroup, k: int, z_factor: int = 0) -> SpaceForm:
+def lens_space(params: GroupParams, subgroup: Subgroup, k: int) -> SpaceForm:
     """The lens-space companion over one of the order-4 cyclic subgroups."""
     if subgroup is Subgroup.FULL:
         raise ValueError("lens spaces are quotients by the proper cyclic subgroups")
-    return SpaceForm(params, subgroup, standard_fpf(params, k), z_factor)
-
-
-class EtaValue(NamedTuple):
-    """An eta invariant, a named tuple: the exact rational for diagnostics, its residue mod 2Z."""
-
-    exact: Fraction
-    residue: Mod2Z
-    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
-
-    @classmethod
-    def from_exact(cls, exact: Fraction) -> EtaValue:
-        return cls(exact, Mod2Z(exact))
-
-    def __sub__(self, other: EtaValue) -> EtaValue:
-        return EtaValue.from_exact(self.exact - other.exact)
+    return SpaceForm(params, subgroup, standard_fpf(params, k))
 
 
 def _inverse_det(summands: tuple[int, ...], order: int) -> Cyclo:
@@ -183,7 +168,7 @@ def eta_vector(params: GroupParams, subgroup: Subgroup,
 
 
 def eta_pair(space: SpaceForm, sigma: VirtualCharacter,
-             bundle: VirtualCharacter | None = None) -> EtaValue:
+             bundle: VirtualCharacter | None = None) -> Fraction:
     """Eta invariant of the space form twisted by sigma, evaluated on the
     (virtual, locally flat) bundle attached to ``bundle``; ``None`` means the
     untwisted invariant.
@@ -198,7 +183,7 @@ def eta_pair(space: SpaceForm, sigma: VirtualCharacter,
     product = sigma if bundle is None else sigma * bundle
     nums, den = _eta_numerators(space.params, space.subgroup, space.tau.summands)
     total = sum(map(mul, product.vector, nums))
-    return EtaValue.from_exact(Fraction(total * space.a_roof_factor, den))
+    return Fraction(total * space.a_roof_factor, den)
 
 
 def eta_theta_closed_form(i1: int, i2: int, nu: int, params: GroupParams) -> Fraction:
@@ -221,7 +206,7 @@ def eta_theta_closed_form(i1: int, i2: int, nu: int, params: GroupParams) -> Fra
 
 
 def eta_lens_difference(subtrahend: Subgroup, k: int, sigma: VirtualCharacter,
-                        params: GroupParams) -> EtaValue:
+                        params: GroupParams) -> Fraction:
     """Eta invariant of the difference of lens spaces over <I> and over the
     given order-4 subgroup (<J> or <xi*J>), both with k standard summands."""
     if subtrahend not in (Subgroup.GEN_J, Subgroup.GEN_XI_J):

@@ -109,7 +109,7 @@ def ksp_eta_matrix(nu: int, params: GroupParams) -> EtaMatrix:
     gens = ksp_generators(nu, params)
     twists = twist_schedule(nu, params)
     entries = tuple(
-        tuple(eta_pair(space, sigma, bundle).residue for _, sigma in twists)
+        tuple(Mod2Z(eta_pair(space, sigma, bundle)) for _, sigma in twists)
         for _, bundle in gens)
     return EtaMatrix(tuple(lbl for lbl, _ in gens), tuple(lbl for lbl, _ in twists), entries)
 
@@ -126,7 +126,7 @@ def ko_eta_matrix(k: int, params: GroupParams) -> EtaMatrix:
     for name, subtrahend in (("M_I - M_J", Subgroup.GEN_J),
                              ("M_I - M_xiJ", Subgroup.GEN_XI_J)):
         row_labels.append(f"{name} (dim {4 * k - 1})")
-        rows.append(tuple(eta_lens_difference(subtrahend, k, sigma, params).residue
+        rows.append(tuple(Mod2Z(eta_lens_difference(subtrahend, k, sigma, params))
                           for _, sigma in twists))
     for mu in range(k):
         space = quaternion_space(params, k - mu, z_factor=mu)
@@ -134,7 +134,7 @@ def ko_eta_matrix(k: int, params: GroupParams) -> EtaMatrix:
         if mu:
             label += f" x Z^{4 * mu}"
         row_labels.append(label)
-        rows.append(tuple(eta_pair(space, sigma).residue for _, sigma in twists))
+        rows.append(tuple(Mod2Z(eta_pair(space, sigma)) for _, sigma in twists))
     return EtaMatrix(tuple(row_labels), tuple(lbl for lbl, _ in twists), tuple(rows))
 
 

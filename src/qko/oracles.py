@@ -27,7 +27,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .cyclotomic import Cyclo, NotRationalError, _make, _product
-from .eta import EtaValue, NotReducedError, SpaceForm
+from .eta import NotReducedError, SpaceForm
 from .groups import (
     GroupElement,
     GroupParams,
@@ -341,7 +341,7 @@ def eta_vector(params: GroupParams, subgroup: Subgroup,
 
 
 def eta_pair(space: SpaceForm, sigma: VirtualCharacter,
-             bundle: VirtualCharacter | None = None) -> EtaValue:
+             bundle: VirtualCharacter | None = None) -> Fraction:
     """The eta invariant as the class-weighted sum of
     sigma(h) * bundle(h) * det(I - tau(h))^(-1) over the nonidentity elements;
     raises :class:`~qko.cyclotomic.NotRationalError` if the sum is not rational."""
@@ -355,5 +355,4 @@ def eta_pair(space: SpaceForm, sigma: VirtualCharacter,
     else:
         bundle_values = class_values(bundle)
         terms = ((1, value, bundle_values[idx]) for idx, value in side)
-    exact = _rational_sum(space.params.conductor, terms)
-    return EtaValue.from_exact(exact * space.a_roof_factor)
+    return _rational_sum(space.params.conductor, terms) * space.a_roof_factor

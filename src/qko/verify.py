@@ -152,7 +152,7 @@ def _eta_checks(params: GroupParams, max_nu: int) -> list[Check]:
         for r in range(1, 6):
             for s in range(0, 6):
                 bundle = delta_power(s, params) if s else None
-                got = eta_pair(space, delta_power(r, params), bundle).exact
+                got = eta_pair(space, delta_power(r, params), bundle)
                 want = oracles.c_constant(r + s - nu, params)
                 if got != want:
                     bad.append(f"(r={r},s={s})")
@@ -161,31 +161,28 @@ def _eta_checks(params: GroupParams, max_nu: int) -> list[Check]:
         bad = []
         for i in (1, 2):
             for r in range(1, 5):
-                fwd = eta_pair(space, theta(i, params), delta_power(r, params)).exact
-                rev = eta_pair(space, delta_power(r, params), theta(i, params)).exact
+                fwd = eta_pair(space, theta(i, params), delta_power(r, params))
+                rev = eta_pair(space, delta_power(r, params), theta(i, params))
                 if fwd != 0 or rev != 0:
                     bad.append(f"(i={i},r={r})")
-            if eta_pair(space, theta(i, params)).exact != 0:
+            if eta_pair(space, theta(i, params)) != 0:
                 bad.append(f"untwisted i={i}")
         out.append(_check_all(f"eta/theta-delta-zero/ell{ell}/nu{nu}", bad, 18))
 
         bad = []
         for i1 in (1, 2):
             for i2 in (1, 2):
-                got = eta_pair(space, theta(i1, params), theta(i2, params)).exact
+                got = eta_pair(space, theta(i1, params), theta(i2, params))
                 if got != eta_theta_closed_form(i1, i2, nu, params):
                     bad.append(f"({i1},{i2})")
         out.append(_check_all(f"eta/theta-pairing/ell{ell}/nu{nu}", bad, 4))
 
-        sym_a = eta_pair(space, theta(1, params), theta(2, params)).exact
-        sym_b = eta_pair(space, theta(2, params), theta(1, params)).exact
+        sym_a = eta_pair(space, theta(1, params), theta(2, params))
+        sym_b = eta_pair(space, theta(2, params), theta(1, params))
         out.append(_check(f"eta/symmetry/ell{ell}/nu{nu}", sym_a, sym_b))
 
-    plain = eta_pair(quaternion_space(params, 2), theta(1, params), theta(1, params)).exact
-    once = eta_pair(quaternion_space(params, 2, z_factor=1),
-                    theta(1, params), theta(1, params)).exact
-    twice = eta_pair(quaternion_space(params, 2, z_factor=2),
-                     theta(1, params), theta(1, params)).exact
+    plain, once, twice = (eta_pair(quaternion_space(params, 2, z_factor=z), theta(1, params),
+                                   theta(1, params)) for z in range(3))
     out.append(_check(f"eta/z-doubling/ell{ell}", (2 * plain, plain), (once, twice)))
 
     # every pairing over the twist menu must produce a rational class sum
@@ -208,9 +205,9 @@ def _lens_checks(params: GroupParams, max_k: int) -> list[Check]:
         triples = {}
         for name, sub in (("J", Subgroup.GEN_J), ("xiJ", Subgroup.GEN_XI_J)):
             triples[name] = (
-                eta_lens_difference(sub, k, theta(1, params), params).exact,
-                eta_lens_difference(sub, k, theta(2, params), params).exact,
-                eta_lens_difference(sub, k, delta_power(1, params), params).exact,
+                eta_lens_difference(sub, k, theta(1, params), params),
+                eta_lens_difference(sub, k, theta(2, params), params),
+                eta_lens_difference(sub, k, delta_power(1, params), params),
             )
         # the theta-theta closed form gives 2^-k (ell/8 + 1, ell/8, 0) against <J>
         # and the swap against <xi*J>; for ell = 8 that is the printed (2, 1, 0) / (1, 2, 0)
@@ -357,7 +354,7 @@ def _arith_checks() -> list[Check]:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def run_verification(ells: list[int], max_nu: int = 4, max_k: int = 3) -> list[Check]:
+def run_verification(ells: list[int], max_nu: int, max_k: int) -> list[Check]:
     checks = _arith_checks()
     for ell in ells:
         params = GroupParams(ell)

@@ -136,16 +136,16 @@ def test_criterion_6_eta_closed_forms():
                         hi, lo = max(r, s), min(r, s)
                         bundle = delta_power(lo, params) if lo else None
                         got = eta_pair(space, delta_power(hi, params), bundle)
-                        assert got.exact == c_constant(r + s - nu, params), (ell, nu, r, s)
+                        assert got == c_constant(r + s - nu, params), (ell, nu, r, s)
                 for i1 in (1, 2):
                     for i2 in (1, 2):
                         got = eta_pair(space, theta(i1, params), theta(i2, params))
-                        assert got.exact == eta_theta_closed_form(i1, i2, nu, params)
+                        assert got == eta_theta_closed_form(i1, i2, nu, params)
                     for r in range(1, 6):
                         assert eta_pair(space, theta(i1, params),
-                                        delta_power(r, params)).exact == 0
+                                        delta_power(r, params)) == 0
                         assert eta_pair(space, delta_power(r, params),
-                                        theta(i1, params)).exact == 0
+                                        theta(i1, params)) == 0
 
 
 def test_criterion_7_matrix_reproduction():

@@ -13,7 +13,7 @@ import pytest
 import qko
 from qko.abelian import AbelianGroup
 from qko.cyclotomic import Cyclo, Mod2Z
-from qko.eta import EtaValue, quaternion_space
+from qko.eta import quaternion_space
 from qko.groups import FpfRep, GroupParams, InvalidParamsError, VirtualCharacter
 from qko.ktheory import ksp_group, structure_checks
 
@@ -50,10 +50,9 @@ def test_records_are_immutable():
     params = GroupParams(8)
     report = ksp_group(2, params)
     fields = [(params, "ell"), (FpfRep(params, (1, 3)), "summands"),
-              (quaternion_space(params, 2), "tau"),
-              (EtaValue.from_exact(Fraction(1, 3)), "exact"), (report.matrix, "entries"),
+              (quaternion_space(params, 2), "tau"), (report.matrix, "entries"),
               (report, "index"), (structure_checks(report)[0], "passed")]
-    assert len({type(record) for record, _ in fields}) == 7
+    assert len({type(record) for record, _ in fields}) == 6
     for record, field in fields:
         for name in (field, "extra"):
             with pytest.raises(AttributeError):
@@ -72,7 +71,7 @@ def test_values_survive_pickle_and_copy(copier):
     params = GroupParams(8)
     values = [Cyclo(8, [Fraction(1, 2), 0, -3, Fraction(2, 3)]), Mod2Z(Fraction(7, 3)),
               VirtualCharacter(params, {"kappa1": 2, "gamma1": -1}), AbelianGroup((2, 4)),
-              EtaValue.from_exact(Fraction(-5, 3)), ksp_group(2, params)]
+              ksp_group(2, params)]
     for value in values:
         copied = copier(value)
         assert type(copied) is type(value)

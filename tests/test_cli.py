@@ -552,9 +552,11 @@ def test_overlong_number_in_an_expression_exits_2(argv, capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process did, PYTHONPATH set or not
+    src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "qko", "ksp", "--ell", "8", "--nu", "2",
          "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["group"]["invariant_factors"] == [4, 4, 8]

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from qko.cyclotomic import Cyclo, Mod2Z
+from qko.cyclotomic import Cyclo
+from qko import oracles
 from qko.eta import (
-    EtaValue,
     NotReducedError,
     SpaceForm,
     eta_lens_difference,
@@ -47,7 +47,7 @@ def test_theta_pairings_match_closed_form():
             for i1 in (1, 2):
                 for i2 in (1, 2):
                     got = eta_pair(space, theta(i1, params), theta(i2, params))
-                    assert got.exact == eta_theta_closed_form(i1, i2, nu, params), \
+                    assert got == eta_theta_closed_form(i1, i2, nu, params), \
                         (params.ell, nu, i1, i2)
 
 
@@ -60,9 +60,8 @@ def test_delta_pairings_are_c_constants():
                 for s in range(0, 6):
                     bundle = delta_power(s, params) if s else None
                     got = eta_pair(space, delta_power(r, params), bundle)
-                    assert got.exact == c_constant(r + s - nu, params), \
+                    assert got == c_constant(r + s - nu, params), \
                         (params.ell, nu, r, s)
-                    assert got.residue == Mod2Z(c_constant(r + s - nu, params))
 
 
 def _element_value(chi, h):
@@ -94,9 +93,9 @@ def test_class_weighted_sum_matches_element_sum(params, subgroup):
                 for s, r, d in zip(values[sigma], values[bundle], det_inv):
                     total = total + s * r * d
                 want = total.to_rational() / order
-                assert eta_pair(plain, sigma, bundle).exact == want, (summands, sigma, bundle)
+                assert eta_pair(plain, sigma, bundle) == want, (summands, sigma, bundle)
                 # a Z^4 factor multiplies by its A-roof genus, 2
-                assert eta_pair(crossed, sigma, bundle).exact == 2 * want
+                assert eta_pair(crossed, sigma, bundle) == 2 * want
 
 
 def test_delta_pairing_untwisted_equals_trivial_bundle():
@@ -104,7 +103,7 @@ def test_delta_pairing_untwisted_equals_trivial_bundle():
     space = quaternion_space(P8, 2)
     for r in range(1, 5):
         sigma = delta_power(r, P8)
-        assert eta_pair(space, sigma).exact == eta_pair(space, sigma, rho0).exact
+        assert eta_pair(space, sigma) == eta_pair(space, sigma, rho0)
 
 
 def test_untwisted_theta_on_minimal_space():
@@ -112,7 +111,7 @@ def test_untwisted_theta_on_minimal_space():
     # and vanishes: its support sits where the determinant is constant
     for params in (P8, P16):
         for i in (1, 2):
-            assert eta_pair(quaternion_space(params, 1), theta(i, params)).exact == 0
+            assert eta_pair(quaternion_space(params, 1), theta(i, params)) == 0
 
 
 def test_theta_delta_pairings_vanish():
@@ -121,9 +120,9 @@ def test_theta_delta_pairings_vanish():
             space = quaternion_space(params, nu)
             for i in (1, 2):
                 for r in range(1, 6):
-                    assert eta_pair(space, theta(i, params), delta_power(r, params)).exact == 0
-                    assert eta_pair(space, delta_power(r, params), theta(i, params)).exact == 0
-                assert eta_pair(space, theta(i, params)).exact == 0
+                    assert eta_pair(space, theta(i, params), delta_power(r, params)) == 0
+                    assert eta_pair(space, delta_power(r, params), theta(i, params)) == 0
+                assert eta_pair(space, theta(i, params)) == 0
 
 
 def test_pairing_symmetry():
@@ -132,7 +131,7 @@ def test_pairing_symmetry():
             space = quaternion_space(params, nu)
             fwd = eta_pair(space, theta(1, params), theta(2, params))
             rev = eta_pair(space, theta(2, params), theta(1, params))
-            assert fwd.exact == rev.exact
+            assert fwd == rev
 
 
 def test_dimension_zero_required():
@@ -142,7 +141,7 @@ def test_dimension_zero_required():
     with pytest.raises(NotReducedError):
         eta_pair(quaternion_space(P8, 2), rho0, rho0)  # Delta^0 paired with Delta^0
     # but a nonzero-dimension bundle class is fine
-    assert eta_pair(quaternion_space(P8, 2), theta(1, P8), rho0).exact == 0
+    assert eta_pair(quaternion_space(P8, 2), theta(1, P8), rho0) == 0
 
 
 def test_rationality_over_the_twist_menu():
@@ -156,9 +155,9 @@ def test_rationality_over_the_twist_menu():
 
 
 def test_z_factor_doubles_for_odd_j():
-    base = eta_pair(quaternion_space(P8, 2), theta(1, P8), theta(1, P8)).exact
+    base = eta_pair(quaternion_space(P8, 2), theta(1, P8), theta(1, P8))
     for z in range(5):
-        got = eta_pair(quaternion_space(P8, 2, z_factor=z), theta(1, P8), theta(1, P8)).exact
+        got = eta_pair(quaternion_space(P8, 2, z_factor=z), theta(1, P8), theta(1, P8))
         assert got == base * (2 if z % 2 else 1), z
     with pytest.raises(ValueError):
         quaternion_space(P8, 2, z_factor=-1)
@@ -178,24 +177,24 @@ def test_lens_space_eta_over_each_subgroup():
     # over <I> the support is +-I with value ell/4 and det 2 per summand
     for params, k in ((P8, 1), (P8, 3), (P16, 2)):
         got = eta_pair(lens_space(params, Subgroup.GEN_I, k), theta(1, params))
-        assert got.exact == Fraction(params.ell, 8) * Fraction(1, 2 ** k)
+        assert got == Fraction(params.ell, 8) * Fraction(1, 2 ** k)
     # over <J> both reflections are even so theta1 contributes -2 twice
     got = eta_pair(lens_space(P8, Subgroup.GEN_J, 2), theta(1, P8))
-    assert got.exact == Fraction(-1, 4)
+    assert got == Fraction(-1, 4)
     # and theta2 sees nothing
-    assert eta_pair(lens_space(P8, Subgroup.GEN_J, 2), theta(2, P8)).exact == 0
+    assert eta_pair(lens_space(P8, Subgroup.GEN_J, 2), theta(2, P8)) == 0
 
 
 def test_lens_difference_triples_order_8():
     for k in (1, 2, 3, 4):
         scale = Fraction(1, 2 ** k)
-        vals_j = (eta_lens_difference(Subgroup.GEN_J, k, theta(1, P8), P8).exact,
-                  eta_lens_difference(Subgroup.GEN_J, k, theta(2, P8), P8).exact,
-                  eta_lens_difference(Subgroup.GEN_J, k, delta_power(1, P8), P8).exact)
+        vals_j = (eta_lens_difference(Subgroup.GEN_J, k, theta(1, P8), P8),
+                  eta_lens_difference(Subgroup.GEN_J, k, theta(2, P8), P8),
+                  eta_lens_difference(Subgroup.GEN_J, k, delta_power(1, P8), P8))
         assert vals_j == (2 * scale, scale, 0)
-        vals_xij = (eta_lens_difference(Subgroup.GEN_XI_J, k, theta(1, P8), P8).exact,
-                    eta_lens_difference(Subgroup.GEN_XI_J, k, theta(2, P8), P8).exact,
-                    eta_lens_difference(Subgroup.GEN_XI_J, k, delta_power(1, P8), P8).exact)
+        vals_xij = (eta_lens_difference(Subgroup.GEN_XI_J, k, theta(1, P8), P8),
+                    eta_lens_difference(Subgroup.GEN_XI_J, k, theta(2, P8), P8),
+                    eta_lens_difference(Subgroup.GEN_XI_J, k, delta_power(1, P8), P8))
         assert vals_xij == (scale, 2 * scale, 0)
 
 
@@ -207,15 +206,15 @@ def test_lens_difference_triples_larger_orders():
         side = params.ell // 8
         for k in (1, 2, 3):
             scale = Fraction(1, 2 ** k)
-            assert eta_lens_difference(Subgroup.GEN_J, k, theta(1, params), params).exact \
+            assert eta_lens_difference(Subgroup.GEN_J, k, theta(1, params), params) \
                 == (side + 1) * scale
-            assert eta_lens_difference(Subgroup.GEN_J, k, theta(2, params), params).exact \
+            assert eta_lens_difference(Subgroup.GEN_J, k, theta(2, params), params) \
                 == side * scale
             for i in (1, 2, 3):
                 assert eta_lens_difference(
-                    Subgroup.GEN_J, k, delta_power(i, params), params).exact == 0
+                    Subgroup.GEN_J, k, delta_power(i, params), params) == 0
                 assert eta_lens_difference(
-                    Subgroup.GEN_XI_J, k, delta_power(i, params), params).exact == 0
+                    Subgroup.GEN_XI_J, k, delta_power(i, params), params) == 0
 
 
 def test_lens_difference_validation():
@@ -227,13 +226,14 @@ def test_lens_difference_validation():
         lens_space(P8, Subgroup.FULL, 2)
 
 
-def test_eta_value_reduction():
-    v = EtaValue.from_exact(Fraction(9, 4))
-    assert v.exact == Fraction(9, 4)
-    assert v.residue == Mod2Z(Fraction(1, 4))
-    diff = v - EtaValue.from_exact(Fraction(1, 2))
-    assert diff.exact == Fraction(7, 4)
-    assert diff.residue == Mod2Z(Fraction(7, 4))
+def test_pairings_return_the_exact_fraction():
+    # 2^-2 (ell/8 + 1) = 9/4 at ell 64, not its residue 1/4: only the pairing
+    # matrices and `qko eta` reduce mod 2Z
+    params = GroupParams(64)
+    space, theta1 = quaternion_space(params, 2), theta(1, params)
+    values = [eta_pair(space, theta1, theta1), oracles.eta_pair(space, theta1, theta1),
+              eta_lens_difference(Subgroup.GEN_J, 2, theta1, params)]
+    assert [(type(v), v) for v in values] == [(Fraction, Fraction(9, 4))] * 3
 
 
 def test_space_form_validation():
@@ -255,9 +255,3 @@ def test_space_form_rejects_tau_of_another_group():
     with pytest.raises(ValueError, match="tau is defined over a different group"):
         SpaceForm(P16, Subgroup.FULL, FpfRep(P8, (1, 1)))
 
-
-def test_eta_value_has_no_tuple_arithmetic():
-    v = EtaValue.from_exact(Fraction(1, 3))
-    for combine in (lambda: v + v, lambda: v * 2, lambda: 2 * v):
-        with pytest.raises(TypeError):
-            combine()

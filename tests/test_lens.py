@@ -16,8 +16,11 @@ and T_(t tau)(t u) = T_tau(u), with the 1-dimensional entries fixed.
 """
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -90,19 +93,18 @@ def _lens_k_group(summands, order):
     return AbelianGroup.from_cyclic_orders(diagonal + [modulus] * (order - 1 - len(diagonal)))
 
 
-def _check_lens(order, taus, through_quotient_group=False):
+def _check_lens(order, taus):
     for summands in taus:
         rows, modulus, span = _eta_span(summands, order)
         assert span == _lens_k_group(summands, order), (order, summands)
         assert span.order == order ** (2 * len(summands) - 1), (order, summands, span)
-        if through_quotient_group:
-            # quotient_group spans in Q/2Z, so the entries are doubled
-            assert quotient_group([[Fraction(2 * x, modulus) for x in row] for row in rows]) == span
+        # quotient_group spans in Q/2Z, so the entries are doubled
+        assert quotient_group([[Fraction(2 * x, modulus) for x in row] for row in rows]) == span
 
 
 @pytest.mark.parametrize("order", (4, 8, 16))
 def test_rotation_sums_span_the_lens_space_k_group(order):
-    _check_lens(order, _folded_taus(order, 3), through_quotient_group=True)
+    _check_lens(order, _folded_taus(order, 3))
 
 
 @pytest.mark.slow
@@ -112,6 +114,26 @@ def test_rotation_sums_span_the_lens_space_k_group_at_larger_orders(order, per_n
     rng = random.Random(order)
     _check_lens(order, [tau for nu in (1, 2, 3) for tau in rng.sample(
         [tau for tau in _folded_taus(order, 3) if len(tau) == nu], per_nu)])
+
+
+_SPAN = """
+import ast, sys
+sys.path.insert(0, sys.argv[1])
+from fractions import Fraction
+from qko.abelian import quotient_group
+rows, modulus = ast.literal_eval(sys.stdin.read())
+print(*quotient_group([[Fraction(2 * x, modulus) for x in row] for row in rows]).invariant_factors)
+"""
+
+
+def test_quotient_group_spans_the_63_row_pairing_at_order_64():
+    # quotient_group reduces mod 2d at every step; over the integers these entries grow without bound
+    rows, modulus, span = _eta_span((1, 3), 64)
+    src = str(Path(eta.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _SPAN, src], input=repr((rows, modulus)),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(d) for d in span.invariant_factors]
 
 
 def test_lens_k_group_examples():
