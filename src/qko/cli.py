@@ -22,7 +22,6 @@ from .checks import Check, _check
 from .cyclotomic import Mod2Z
 from .eta import SpaceForm, eta_pair
 from .groups import (
-    GroupElement,
     GroupParams,
     InvalidParamsError,
     Subgroup,
@@ -31,6 +30,7 @@ from .groups import (
     char_strings,
     conjugacy_classes,
     delta_power,
+    element_name,
     fs_indicator,
     irreducible_labels,
     standard_fpf,
@@ -46,7 +46,7 @@ SCHEMA = "qko/1"
 # character table's own work ((ell/4 + 3)^2 short strings) 2-4x and verify's
 # class-value oracles about 4x.  Cold on one CPU of a 2.1 GHz Xeon, each
 # command at its limit ends within 2 s and its own peak RSS (VmHWM) stays under
-# 30 MB: the largest verify 1.2-1.5 s, 23.0 MB; ksp --ell 4096 --nu 16 0.9-1.0 s,
+# 30 MB: the largest verify 0.7-1.0 s, 19.1 MB; ksp --ell 4096 --nu 16 0.9-1.0 s,
 # 18.7 MB; chartable --ell 512, its JSON streamed, 0.1 s, 15.5 MB.
 MAX_ELL = {"chartable": 512, "ksp": 4096, "ko": 4096, "eta": 4096, "verify": 128}
 MAX_NU = 16  # nu of ksp / eta and verify's --max-nu; k and --max-k stop at MAX_NU - 1
@@ -142,14 +142,6 @@ def _params(ell: int, command: str) -> GroupParams:
 def _bounded(flag: str, value: int, low: int, high: int) -> None:
     if not low <= value <= high:
         raise UsageError(f"{flag} must be in {low}..{high}, got {value}")
-
-
-def element_name(params: GroupParams, g: GroupElement) -> str:
-    """xi^a J^b written as 1, -1, xi^a, J, xi*J or xi^a*J, with a mod ell/2."""
-    a = g.a % params.half
-    if g.b % 2 == 0:
-        return "1" if a == 0 else "-1" if a == params.quarter else f"xi^{a}"
-    return "J" if a == 0 else "xi*J" if a == 1 else f"xi^{a}*J"
 
 
 def cmd_chartable(args) -> tuple[dict, str, int]:

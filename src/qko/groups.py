@@ -103,6 +103,14 @@ def conjugacy_classes(params: GroupParams) -> tuple[tuple[GroupElement, int], ..
             (GroupElement(0, 1), q), (GroupElement(1, 1), q))
 
 
+def element_name(params: GroupParams, g: GroupElement) -> str:
+    """xi^a J^b written as 1, -1, xi^a, J, xi*J or xi^a*J, with a mod ell/2."""
+    a = g.a % params.half
+    if g.b % 2 == 0:
+        return "1" if a == 0 else "-1" if a == params.quarter else f"xi^{a}"
+    return "J" if a == 0 else "xi*J" if a == 1 else f"xi^{a}*J"
+
+
 # ---------------------------------------------------------------------------
 # Irreducible characters
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm, prod
-from operator import getitem
+from operator import and_, floordiv, rshift
 
-from . import oracles
+from . import eta, groups, ktheory, oracles
 from .abelian import (
     AbelianGroup,
     matrix_determinant,
@@ -39,6 +40,7 @@ from .groups import (
     delta,
     delta_power,
     det_I_minus,
+    element_name,
     fs_indicator,
     irreducible_labels,
     membership,
@@ -89,17 +91,20 @@ def _character_checks(params: GroupParams) -> list[Check]:
     # folding of the 2-dimensional family at and beyond its index range
     bad, gamma_trace = [], oracles.gamma_trace
     for rep, _ in classes:
+        failed = []
         rho_kappa2 = char_value(params, "rho0", rep) + char_value(params, "kappa2", rep)
         if gamma_trace(params, 0, rep) != rho_kappa2:
-            bad.append("u=0")
+            failed.append("u=0")
         k1_k3 = char_value(params, "kappa1", rep) + char_value(params, "kappa3", rep)
         if gamma_trace(params, params.quarter, rep) != k1_k3:
-            bad.append("u=ell/4")
+            failed.append("u=ell/4")
         for u in range(1, params.quarter):
             if gamma_trace(params, -u, rep) != gamma_trace(params, u, rep):
-                bad.append(f"u=-{u}")
+                failed.append(f"u=-{u}")
             if gamma_trace(params, u + params.half, rep) != gamma_trace(params, u, rep):
-                bad.append(f"u={u}+ell/2")
+                failed.append(f"u={u}+ell/2")
+        if failed:
+            bad.append(f"{element_name(params, rep)} at {', '.join(failed)}")
     out.append(_check_all(f"chars/gamma-fold/ell{ell}", bad, len(classes)))
     return out
 
@@ -252,30 +257,40 @@ def brute_force_span(generators: list[tuple[Fraction | int, ...]]) -> AbelianGro
     """Independent oracle: enumerate the subgroup of (Q/2Z)^n generated by the
     vectors (closure under addition), then peel its invariant factors off,
     largest first, from how many elements each n kills.  Scaled by the common
-    denominator d of the entries, the vectors are integer vectors mod 2d, and
-    adding a generator is one lookup per coordinate."""
+    denominator d of the entries, the vectors are integer vectors mod 2d, each
+    held as one int whose coordinates sit in fixed-width bit fields wide enough
+    for the sum of two residues: adding a generator is one integer add and one
+    masked subtraction of 2d from each field that reached 2d."""
     if not generators:
         return AbelianGroup.trivial()
     d = lcm(*(x.denominator for g in generators for x in g))
     modulus = 2 * d
-    residues = list(range(modulus))
-    # tables[k][i][a] = a + (generator k)_i mod 2d
-    shifts = [[x.numerator * (d // x.denominator) % modulus for x in g] for g in generators]
-    tables = [[residues[s:] + residues[:s] for s in g] for g in shifts]
+    # with 2^(w-1) >= 2d, a field plus 2^(w-1) - 2d carries into its top bit
+    # exactly when the field is at least 2d, and never into the next field
+    w = modulus.bit_length() + 1
+    offsets = range(0, w * len(generators[0]), w)
+    top = sum(1 << (s + w - 1) for s in offsets)
+    bias = top - sum(modulus << s for s in offsets)
+    shifts = [sum((x.numerator * (d // x.denominator) % modulus) << s for x, s in zip(g, offsets))
+              for g in generators]
 
-    elements = {(0,) * len(generators[0])}
-    frontier = list(elements)
-    while frontier:
-        base = frontier.pop()
-        for table in tables:
-            nxt = tuple(map(getitem, table, base))
+    # found grows while the loop reads it, so every element is visited once
+    elements, found = {0}, [0]
+    for base in found:
+        for shift in shifts:
+            nxt = base + shift
+            nxt -= (((nxt + bias) & top) >> (w - 1)) * modulus
             if nxt not in elements:
                 elements.add(nxt)
-                frontier.append(nxt)
+                found.append(nxt)
 
     # n kills prod gcd(n, d_i) elements, so with the largest invariant factors
-    # f found, the next is the least n | 2d that kills |rest| * prod gcd(n, f)
-    orders = Counter(modulus // gcd(modulus, *e) for e in elements)
+    # f found, the next is the least n | 2d that kills |rest| * prod gcd(n, f);
+    # an element's order is 2d / gcd(2d, its coordinates)
+    gcds, mask = repeat(modulus), (1 << w) - 1
+    for s in offsets:
+        gcds = map(gcd, gcds, map(and_, map(rshift, found, repeat(s)), repeat(mask)))
+    orders = Counter(map(floordiv, repeat(modulus), gcds))
     divisors = [n for n in range(1, modulus + 1) if modulus % n == 0]
     killed = {n: sum(c for o, c in orders.items() if n % o == 0) for n in divisors}
     factors, rest = [], len(elements)
@@ -354,7 +369,24 @@ def _arith_checks() -> list[Check]:
 # Entry point
 # ---------------------------------------------------------------------------
 
+# Every memo table of the engine and the oracles, taken when this module is
+# imported, so that a name patched later over one of them still has its table
+# emptied.  Each is keyed by a group order or by values that carry one.
+_MEMO_TABLES = frozenset(obj for module in (groups, eta, ktheory, oracles)
+                         for obj in vars(module).values() if hasattr(obj, "cache_clear"))
+
+
+def _release_memo_tables() -> None:
+    for table in _MEMO_TABLES:
+        table.cache_clear()
+
+
 def run_verification(ells: list[int], max_nu: int, max_k: int) -> list[Check]:
+    """The substrate checks, then each order's checks in turn.  No order reads
+    another's memo entries, so after each order's checks every memo table of
+    qko.groups, qko.eta, qko.ktheory and qko.oracles is emptied: a caller's own
+    cached values (a ``ksp_group`` report, say) go too, and are recomputed on
+    their next call."""
     checks = _arith_checks()
     for ell in ells:
         params = GroupParams(ell)
@@ -363,4 +395,5 @@ def run_verification(ells: list[int], max_nu: int, max_k: int) -> list[Check]:
         checks.extend(_eta_checks(params, max_nu))
         checks.extend(_lens_checks(params, max_k))
         checks.extend(_matrix_checks(params, max_nu, max_k))
+        _release_memo_tables()
     return checks

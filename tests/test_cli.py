@@ -498,8 +498,9 @@ def test_oversized_input_exits_2_before_any_work(argv, capsys, monkeypatch):
 
 
 # The peak RSS that cli.py's MAX_ELL comment and README state for every command
-# at its limit.
+# at its limit, and the one they state for the largest verify, with headroom.
 STATED_PEAK_RSS_MB = 30
+STATED_VERIFY_PEAK_RSS_MB = 22
 
 # Runs one command, reports VmHWM, the peak RSS of its own address space, and
 # exits with the command's code; ru_maxrss would also count the pytest process
@@ -516,19 +517,22 @@ sys.exit(code)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("argv", [
-    ("verify", "--ell", "8,16,32,64,128", "--max-nu", "16", "--max-k", "15"),
-    ("ksp", "--ell", "4096", "--nu", "16"),
-    ("chartable", "--ell", "512"),
+@pytest.mark.parametrize("argv, bound_mb", [
+    (("verify", "--ell", "8,16,32,64,128", "--max-nu", "16", "--max-k", "15"),
+     STATED_VERIFY_PEAK_RSS_MB),
+    (("ksp", "--ell", "4096", "--nu", "16"), STATED_PEAK_RSS_MB),
+    (("chartable", "--ell", "512"), STATED_PEAK_RSS_MB),
 ], ids=["verify", "ksp", "chartable"])
-def test_largest_jobs_stay_under_the_stated_peak_rss(argv):
+def test_largest_jobs_stay_under_the_stated_peak_rss(argv, bound_mb):
     """The largest verify, ksp and chartable jobs the limits accept, each run
-    cold in a fresh interpreter: exit 0 and a peak RSS under the stated bound."""
+    cold in a fresh interpreter: exit 0 and a peak RSS under the stated bound.
+    verify empties each order's memo tables before the next order, so its
+    bound is its own, below the one for every command."""
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-I", "-c", _PEAK_RSS, src, *argv, "--format", "json"],
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stderr.split()[-1]) / 1024 < STATED_PEAK_RSS_MB, proc.stderr
+    assert int(proc.stderr.split()[-1]) / 1024 < bound_mb <= STATED_PEAK_RSS_MB, proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,10 +2,14 @@
 
 import hashlib
 import random
+from collections import Counter
+from fractions import Fraction
+from math import gcd, lcm, prod
 
 import pytest
 
 from qko import eta, groups, ktheory, oracles, verify
+from qko.abelian import AbelianGroup
 from qko.cyclotomic import NotRationalError
 from qko.groups import GroupParams
 
@@ -72,15 +76,22 @@ def test_substrate_trials_keep_their_inputs_and_random_stream(monkeypatch):
     assert rngs[0].getrandbits(64) == 12936391567819795641
 
 
+def _memo_tables():
+    # every memo table of the engine and the oracles, read off the modules
+    return {obj for module in (groups, eta, ktheory, oracles)
+            for obj in vars(module).values() if hasattr(obj, "cache_clear")}
+
+
 def test_verify_forms_each_fusion_product_once_and_class_values_on_integers(monkeypatch):
-    # a count guard: every product of two characters is formed once, and the
-    # class values are built without the per-value Cyclo path of char_value
-    for module in (groups, eta, ktheory, oracles):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-    pairs, characters = [], set()
+    # a count guard: within each order every product of two characters is
+    # formed once, and the class values are built without the per-value Cyclo
+    # path of char_value; the tables are emptied after each order, which also
+    # resets their counts, so each order's are read just before that
+    for table in _memo_tables():
+        table.cache_clear()
+    pairs, per_order, characters = [], [], set()
     product, class_values = groups.fusion_product, oracles.class_values
+    release = verify._release_memo_tables
 
     def record_product(f1, f2):
         pairs.append((f1, f2))
@@ -90,10 +101,17 @@ def test_verify_forms_each_fusion_product_once_and_class_values_on_integers(monk
         characters.add(f)
         return class_values(f)
 
+    def record_release():
+        per_order.append((product.cache_info().misses, len(set(pairs)), len(pairs)))
+        pairs.clear()
+        release()
+
     monkeypatch.setattr(groups, "fusion_product", record_product)
     monkeypatch.setattr(oracles, "class_values", record_values)
+    monkeypatch.setattr(verify, "_release_memo_tables", record_release)
     assert all(c.passed for c in verify.run_verification([8, 16], 4, 3))
-    assert product.cache_info().misses == len(set(pairs)) < len(pairs)
+    assert len(per_order) == 2
+    assert all(misses == distinct < formed for misses, distinct, formed in per_order), per_order
 
     def refuse(*args):
         raise AssertionError("class values went through a per-value Cyclo")
@@ -104,3 +122,75 @@ def test_verify_forms_each_fusion_product_once_and_class_values_on_integers(monk
     monkeypatch.setattr(oracles, "gamma_trace", refuse)
     assert len(want) > 20
     assert {f: class_values(f) for f in characters} == want
+
+
+def test_verify_empties_every_memo_table_after_each_order():
+    first = verify.run_verification([8, 16], 4, 3)
+    tables = _memo_tables()
+    assert len(tables) > 10
+    assert all(table.cache_info().currsize == 0 for table in tables)
+    assert verify.run_verification([8, 16], 4, 3) == first
+
+
+def test_gamma_fold_names_each_failing_class_once(monkeypatch):
+    # gamma_3 is made wrong at xi^2 alone: one class of the 11 at ell 32 fails,
+    # at both of the u = 3 comparisons
+    real = oracles.gamma_trace
+
+    def wrong_at_xi2(params, u, g):
+        value = real(params, u, g)
+        return value + 1 if u == 3 and (g.a, g.b) == (2, 0) else value
+
+    monkeypatch.setattr(oracles, "gamma_trace", wrong_at_xi2)
+    checks = {c.name: c for c in verify._character_checks(GroupParams(32))}
+    check = checks.pop("chars/gamma-fold/ell32")
+    assert not check.passed
+    assert check.actual == "1 of 11: xi^2 at u=-3, u=3+ell/2"
+    assert all(c.passed for c in checks.values())
+
+
+def _tuple_span(generators):
+    # the reference for brute_force_span: its earlier form, which held each
+    # element as a tuple of residues mod 2d in a set, with the same peel
+    d = lcm(*(x.denominator for g in generators for x in g))
+    modulus = 2 * d
+    gens = [tuple(x.numerator * (d // x.denominator) % modulus for x in g) for g in generators]
+    elements = {(0,) * len(gens[0])}
+    frontier = list(elements)
+    while frontier:
+        base = frontier.pop()
+        for g in gens:
+            nxt = tuple((a + b) % modulus for a, b in zip(base, g))
+            if nxt not in elements:
+                elements.add(nxt)
+                frontier.append(nxt)
+    orders = Counter(modulus // gcd(modulus, *e) for e in elements)
+    divisors = [n for n in range(1, modulus + 1) if modulus % n == 0]
+    killed = {n: sum(c for o, c in orders.items() if n % o == 0) for n in divisors}
+    factors, rest = [], len(elements)
+    while rest > 1:
+        factors.append(next(n for n in divisors
+                            if killed[n] == rest * prod(gcd(n, f) for f in factors)))
+        rest //= factors[-1]
+    return AbelianGroup(reversed(factors))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_brute_force_span_matches_the_tuple_enumeration(seed):
+    # 1-3 coordinates, 1-4 generators, 2d up to 96 with every power of two
+    # among the moduli, and each span with a residue at 2d - 1 (entry 2 - 1/d),
+    # where a field's sum of two residues is largest; spans stay under 10^4
+    # elements so the reference stays quick
+    rng = random.Random(seed)
+    moduli = [2, 4, 8, 16, 32, 64, 6, 12, 24, 30, 48, 96]
+    cases = 0
+    while cases < 40:
+        modulus, n, k = rng.choice(moduli), rng.randint(1, 3), rng.randint(1, 4)
+        if modulus ** min(n, k) > 10_000:
+            continue
+        d = modulus // 2
+        residues = [[rng.randrange(modulus) for _ in range(n)] for _ in range(k)]
+        residues[rng.randrange(k)][rng.randrange(n)] = modulus - 1
+        gens = [tuple(Fraction(r, d) for r in row) for row in residues]
+        assert verify.brute_force_span(gens) == _tuple_span(gens), gens
+        cases += 1
