@@ -204,15 +204,3 @@ def eta_theta_closed_form(i1: int, i2: int, nu: int, params: GroupParams) -> Fra
         raise ValueError(f"need nu >= 1, got {nu}")
     return Fraction(params.eighth + (i1 == i2), 2 ** nu)
 
-
-def eta_lens_difference(subtrahend: Subgroup, k: int, sigma: VirtualCharacter,
-                        params: GroupParams) -> Fraction:
-    """Eta invariant of the difference of lens spaces over <I> and over the
-    given order-4 subgroup (<J> or <xi*J>), both with k standard summands."""
-    if subtrahend not in (Subgroup.GEN_J, Subgroup.GEN_XI_J):
-        raise ValueError("the subtracted lens space must be over <J> or <xi*J>")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    first = eta_pair(lens_space(params, Subgroup.GEN_I, k), sigma)
-    second = eta_pair(lens_space(params, subtrahend, k), sigma)
-    return first - second

@@ -8,6 +8,8 @@ in (Q/2Z)^(nu+1): a 2x2 block A from the theta classes and an
 K-groups of the classifying space are hit the same way by manifold
 generators (lens-space differences and products with the auxiliary
 A-roof-genus manifolds), giving blocks C and B with a dimension shift of one.
+Both matrices come from one assembly: a generator row is a formal sum of
+twisted space forms, and its entries are that sum's eta invariants.
 The group structures are read off with exact Smith-form quotients.  Every
 closed form the blocks must meet is stated once, in :func:`structure_checks`:
 the group constructors raise on the first row that fails and keep the rows
@@ -31,7 +33,7 @@ from typing import NamedTuple
 from .abelian import AbelianGroup, quotient_group
 from .checks import Check, _check, _check_all
 from .cyclotomic import Mod2Z
-from .eta import eta_lens_difference, eta_pair, eta_theta_closed_form, quaternion_space
+from .eta import SpaceForm, eta_pair, eta_theta_closed_form, lens_space, quaternion_space
 from .groups import (
     GroupParams,
     Subgroup,
@@ -101,17 +103,28 @@ class EtaMatrix(NamedTuple):
         return quotient_group(self.rows())
 
 
+_Term = tuple[int, SpaceForm, VirtualCharacter | None]
+
+
+def _eta_matrix(twists: tuple[tuple[str, VirtualCharacter], ...],
+                rows: list[tuple[str, list[_Term]]]) -> EtaMatrix:
+    """The one assembly: each labelled row is a formal sum of twisted space
+    forms, terms (c, space, bundle or None), and its entry against the twist
+    sigma is the residue of the sum of c * eta_pair(space, sigma, bundle)."""
+    entries = tuple(
+        tuple(Mod2Z(sum(c * eta_pair(space, sigma, bundle) for c, space, bundle in terms))
+              for _, sigma in twists)
+        for _, terms in rows)
+    return EtaMatrix(tuple(lbl for lbl, _ in rows), tuple(lbl for lbl, _ in twists), entries)
+
+
 def ksp_eta_matrix(nu: int, params: GroupParams) -> EtaMatrix:
     """The full (nu+1)x(nu+1) pairing matrix for KSp of the 4*nu-1 space form."""
     if nu < 2:
         raise ValueError(f"need nu >= 2, got {nu}")
     space = quaternion_space(params, nu)
-    gens = ksp_generators(nu, params)
-    twists = twist_schedule(nu, params)
-    entries = tuple(
-        tuple(Mod2Z(eta_pair(space, sigma, bundle)) for _, sigma in twists)
-        for _, bundle in gens)
-    return EtaMatrix(tuple(lbl for lbl, _ in gens), tuple(lbl for lbl, _ in twists), entries)
+    return _eta_matrix(twist_schedule(nu, params),
+                       [(lbl, [(1, space, bundle)]) for lbl, bundle in ksp_generators(nu, params)])
 
 
 def ko_eta_matrix(k: int, params: GroupParams) -> EtaMatrix:
@@ -120,22 +133,13 @@ def ko_eta_matrix(k: int, params: GroupParams) -> EtaMatrix:
     with the auxiliary manifolds."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    twists = twist_schedule(k + 1, params)
-    row_labels = []
-    rows = []
-    for name, subtrahend in (("M_I - M_J", Subgroup.GEN_J),
-                             ("M_I - M_xiJ", Subgroup.GEN_XI_J)):
-        row_labels.append(f"{name} (dim {4 * k - 1})")
-        rows.append(tuple(Mod2Z(eta_lens_difference(subtrahend, k, sigma, params))
-                          for _, sigma in twists))
-    for mu in range(k):
-        space = quaternion_space(params, k - mu, z_factor=mu)
-        label = f"M_Q^{4 * (k - mu) - 1}"
-        if mu:
-            label += f" x Z^{4 * mu}"
-        row_labels.append(label)
-        rows.append(tuple(Mod2Z(eta_pair(space, sigma)) for _, sigma in twists))
-    return EtaMatrix(tuple(row_labels), tuple(lbl for lbl, _ in twists), tuple(rows))
+    m_i = lens_space(params, Subgroup.GEN_I, k)
+    rows = [(f"M_I - {name} (dim {4 * k - 1})",
+             [(1, m_i, None), (-1, lens_space(params, subgroup, k), None)])
+            for name, subgroup in (("M_J", Subgroup.GEN_J), ("M_xiJ", Subgroup.GEN_XI_J))]
+    rows += [(f"M_Q^{4 * (k - mu) - 1}" + (f" x Z^{4 * mu}" if mu else ""),
+              [(1, quaternion_space(params, k - mu, z_factor=mu), None)]) for mu in range(k)]
+    return _eta_matrix(twist_schedule(k + 1, params), rows)
 
 
 def ahss_order_bound(nu: int, params: GroupParams) -> int:
@@ -306,8 +310,6 @@ def _assemble(kind: str, index: int, params: GroupParams, full: EtaMatrix,
 @lru_cache(maxsize=None)
 def ksp_group(nu: int, params: GroupParams) -> KGroupReport:
     """Structure of KSp of the 4*nu-1 dimensional quaternion space form (nu >= 2)."""
-    if nu < 2:
-        raise ValueError(f"need nu >= 2, got {nu}")
     return _assemble("ksp", nu, params, ksp_eta_matrix(nu, params),
                      ahss_order_bound(nu, params))
 
@@ -316,14 +318,13 @@ def ksp_group(nu: int, params: GroupParams) -> KGroupReport:
 def ko_group(k: int, params: GroupParams) -> KGroupReport:
     """Structure of the degree 4k-1 real connective K-group of the classifying
     space (k >= 1).  Uses the dimension shift nu = k + 1 throughout."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
     return _assemble("ko", k, params, ko_eta_matrix(k, params),
                      ahss_order_bound(k + 1, params))
 
 
 def ko_ksp_isomorphism_check(k: int, params: GroupParams) -> bool:
-    """Whether ko in degree 4k-1 and KSp of the 4(k+1)-1 space form agree as
-    abstract abelian groups (invariant factors compared exactly)."""
-    return (ko_group(k, params).group.invariant_factors
-            == ksp_group(k + 1, params).group.invariant_factors)
+    """Whether ko in degree 4k-1 and KSp of the 4(k+1)-1 space form are one
+    subgroup of (Q/2Z)^(k+2): both matrices pair against twist_schedule(k + 1),
+    and their stacked rows span no more than either group's order."""
+    ko, ksp = ko_group(k, params), ksp_group(k + 1, params)
+    return quotient_group(ko.matrix.rows() + ksp.matrix.rows()).order == ko.order == ksp.order

@@ -14,13 +14,14 @@ any mismatch.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm, prod
 from operator import and_, floordiv, rshift
 
-from . import eta, groups, ktheory, oracles
+from . import oracles
 from .abelian import (
     AbelianGroup,
     matrix_determinant,
@@ -30,7 +31,7 @@ from .abelian import (
 )
 from .checks import Check, _check, _check_all
 from .cyclotomic import Cyclo, NotRationalError
-from .eta import eta_lens_difference, eta_pair, eta_theta_closed_form, quaternion_space
+from .eta import eta_pair, eta_theta_closed_form, lens_space, quaternion_space
 from .groups import (
     GroupParams,
     Subgroup,
@@ -206,14 +207,13 @@ def _eta_checks(params: GroupParams, max_nu: int) -> list[Check]:
 def _lens_checks(params: GroupParams, max_k: int) -> list[Check]:
     ell = params.ell
     out = []
+    sigmas = (theta(1, params), theta(2, params), delta_power(1, params))
     for k in range(1, max_k + 1):
+        m_i = lens_space(params, Subgroup.GEN_I, k)
         triples = {}
         for name, sub in (("J", Subgroup.GEN_J), ("xiJ", Subgroup.GEN_XI_J)):
-            triples[name] = (
-                eta_lens_difference(sub, k, theta(1, params), params),
-                eta_lens_difference(sub, k, theta(2, params), params),
-                eta_lens_difference(sub, k, delta_power(1, params), params),
-            )
+            m_sub = lens_space(params, sub, k)
+            triples[name] = tuple(eta_pair(m_i, sigma) - eta_pair(m_sub, sigma) for sigma in sigmas)
         # the theta-theta closed form gives 2^-k (ell/8 + 1, ell/8, 0) against <J>
         # and the swap against <xi*J>; for ell = 8 that is the printed (2, 1, 0) / (1, 2, 0)
         same = eta_theta_closed_form(1, 1, k, params)
@@ -369,10 +369,12 @@ def _arith_checks() -> list[Check]:
 # Entry point
 # ---------------------------------------------------------------------------
 
-# Every memo table of the engine and the oracles, taken when this module is
-# imported, so that a name patched later over one of them still has its table
-# emptied.  Each is keyed by a group order or by values that carry one.
-_MEMO_TABLES = frozenset(obj for module in (groups, eta, ktheory, oracles)
+# Every memo table of the package: each qko module loaded by now (this one
+# included), read when this module is imported, so that a name patched later
+# over one of them still has its table emptied.  Each is keyed by a group
+# order or by values that carry one.
+_MEMO_TABLES = frozenset(obj for name, module in list(sys.modules.items())
+                         if name.partition(".")[0] == __package__
                          for obj in vars(module).values() if hasattr(obj, "cache_clear"))
 
 
@@ -384,9 +386,8 @@ def _release_memo_tables() -> None:
 def run_verification(ells: list[int], max_nu: int, max_k: int) -> list[Check]:
     """The substrate checks, then each order's checks in turn.  No order reads
     another's memo entries, so after each order's checks every memo table of
-    qko.groups, qko.eta, qko.ktheory and qko.oracles is emptied: a caller's own
-    cached values (a ``ksp_group`` report, say) go too, and are recomputed on
-    their next call."""
+    the qko package is emptied: a caller's own cached values (a ``ksp_group``
+    report, say) go too, and are recomputed on their next call."""
     checks = _arith_checks()
     for ell in ells:
         params = GroupParams(ell)

@@ -9,7 +9,6 @@ from qko import oracles
 from qko.eta import (
     NotReducedError,
     SpaceForm,
-    eta_lens_difference,
     eta_pair,
     eta_theta_closed_form,
     lens_space,
@@ -185,16 +184,22 @@ def test_lens_space_eta_over_each_subgroup():
     assert eta_pair(lens_space(P8, Subgroup.GEN_J, 2), theta(2, P8)) == 0
 
 
+def _lens_difference(subtrahend, k, sigma, params):
+    # the eta invariant of M_I - M_J (or M_I - M_xiJ), term by term
+    return (eta_pair(lens_space(params, Subgroup.GEN_I, k), sigma)
+            - eta_pair(lens_space(params, subtrahend, k), sigma))
+
+
 def test_lens_difference_triples_order_8():
     for k in (1, 2, 3, 4):
         scale = Fraction(1, 2 ** k)
-        vals_j = (eta_lens_difference(Subgroup.GEN_J, k, theta(1, P8), P8),
-                  eta_lens_difference(Subgroup.GEN_J, k, theta(2, P8), P8),
-                  eta_lens_difference(Subgroup.GEN_J, k, delta_power(1, P8), P8))
+        vals_j = (_lens_difference(Subgroup.GEN_J, k, theta(1, P8), P8),
+                  _lens_difference(Subgroup.GEN_J, k, theta(2, P8), P8),
+                  _lens_difference(Subgroup.GEN_J, k, delta_power(1, P8), P8))
         assert vals_j == (2 * scale, scale, 0)
-        vals_xij = (eta_lens_difference(Subgroup.GEN_XI_J, k, theta(1, P8), P8),
-                    eta_lens_difference(Subgroup.GEN_XI_J, k, theta(2, P8), P8),
-                    eta_lens_difference(Subgroup.GEN_XI_J, k, delta_power(1, P8), P8))
+        vals_xij = (_lens_difference(Subgroup.GEN_XI_J, k, theta(1, P8), P8),
+                    _lens_difference(Subgroup.GEN_XI_J, k, theta(2, P8), P8),
+                    _lens_difference(Subgroup.GEN_XI_J, k, delta_power(1, P8), P8))
         assert vals_xij == (scale, 2 * scale, 0)
 
 
@@ -206,22 +211,20 @@ def test_lens_difference_triples_larger_orders():
         side = params.ell // 8
         for k in (1, 2, 3):
             scale = Fraction(1, 2 ** k)
-            assert eta_lens_difference(Subgroup.GEN_J, k, theta(1, params), params) \
+            assert _lens_difference(Subgroup.GEN_J, k, theta(1, params), params) \
                 == (side + 1) * scale
-            assert eta_lens_difference(Subgroup.GEN_J, k, theta(2, params), params) \
+            assert _lens_difference(Subgroup.GEN_J, k, theta(2, params), params) \
                 == side * scale
             for i in (1, 2, 3):
-                assert eta_lens_difference(
+                assert _lens_difference(
                     Subgroup.GEN_J, k, delta_power(i, params), params) == 0
-                assert eta_lens_difference(
+                assert _lens_difference(
                     Subgroup.GEN_XI_J, k, delta_power(i, params), params) == 0
 
 
 def test_lens_difference_validation():
     with pytest.raises(ValueError):
-        eta_lens_difference(Subgroup.GEN_I, 1, theta(1, P8), P8)
-    with pytest.raises(ValueError):
-        eta_lens_difference(Subgroup.GEN_J, 0, theta(1, P8), P8)
+        lens_space(P8, Subgroup.GEN_J, 0)
     with pytest.raises(ValueError):
         lens_space(P8, Subgroup.FULL, 2)
 
@@ -232,7 +235,7 @@ def test_pairings_return_the_exact_fraction():
     params = GroupParams(64)
     space, theta1 = quaternion_space(params, 2), theta(1, params)
     values = [eta_pair(space, theta1, theta1), oracles.eta_pair(space, theta1, theta1),
-              eta_lens_difference(Subgroup.GEN_J, 2, theta1, params)]
+              _lens_difference(Subgroup.GEN_J, 2, theta1, params)]
     assert [(type(v), v) for v in values] == [(Fraction, Fraction(9, 4))] * 3
 
 

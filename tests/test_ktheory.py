@@ -361,13 +361,63 @@ def test_ko_and_ksp_have_one_eta_image():
             stacked = quotient_group(ko.matrix.rows() + ksp.matrix.rows())
             assert stacked.order == ko.order, (params.ell, k)
     # negative control: swapping a theta column with a delta column keeps the
-    # KSp group's type, which is all ko_ksp_isomorphism_check compares, but
-    # moves its image off the ko image
+    # KSp group's type but moves its image off the ko image
     ko, ksp = ko_group(1, P8), ksp_group(2, P8)
     assert ksp.matrix.col_labels == ("Theta1", "Theta2", "2*Delta^1")
     swapped = [[delta, theta2, theta1] for theta1, theta2, delta in ksp.matrix.rows()]
     assert quotient_group(swapped) == ksp.group
     assert quotient_group(ko.matrix.rows() + swapped).order == 2 * ko.order
+
+
+def test_isomorphism_check_compares_images_not_types(monkeypatch):
+    # the swapped KSp matrix above spans a group of the same type, off the ko image
+    ksp = ksp_group(2, P8)
+    swapped = ksp.matrix._replace(entries=tuple(
+        (delta, theta2, theta1) for theta1, theta2, delta in ksp.matrix.entries))
+    fake = ksp._replace(matrix=swapped)
+    assert swapped.span() == ksp.group
+    monkeypatch.setattr(ktheory, "ksp_group", lambda nu, params: fake)
+    assert not ko_ksp_isomorphism_check(1, P8)
+
+
+@pytest.mark.slow
+def test_main_isomorphism_at_the_input_limit():
+    assert ko_ksp_isomorphism_check(15, GroupParams(4096))
+
+
+def _stable_offsets(nu):
+    # o(nu): the exponents of the delta block's invariant factors at ell = 2^12, less 12
+    return [f.bit_length() - 13 for f in ksp_group(nu, GroupParams(4096)).b_block.invariant_factors]
+
+
+def _check_stable_law(nus):
+    """Each KSp invariant factor is 2^(j + o_i(nu)) at ell = 2^j: the delta block
+    has the positive exponents among j + o(nu) exactly when j + min(o) >= 0, and
+    the theta block is Z_(2^(2 floor(nu/2)))^2 at every j."""
+    for nu in nus:
+        offsets = _stable_offsets(nu)
+        assert len(offsets) == nu - 1, nu
+        # the observed extremes: the top offset 2nu - 4 + (nu mod 2), the least -(floor(log2(nu-1)) + 2)
+        assert offsets[-1] == 2 * nu - 4 + nu % 2, (nu, offsets)
+        assert nu < 3 or offsets[0] == -((nu - 1).bit_length() + 1), (nu, offsets)
+        for j in range(3, 12):
+            report = ksp_group(nu, GroupParams(2 ** j))
+            law = AbelianGroup(2 ** (j + o) for o in offsets if j + o > 0)
+            assert (report.b_block == law) == (j + offsets[0] >= 0), (nu, j, offsets, report.b_block)
+            assert report.a_block == AbelianGroup((4 ** (nu // 2),) * 2), (nu, j)
+
+
+def test_stable_range_law():
+    _check_stable_law(range(2, 9))
+    assert [_stable_offsets(nu) for nu in (3, 4, 8)] == [
+        [-3, 3], [-3, -1, 4], [-4, -4, -4, -2, -1, 3, 12]]
+
+
+@pytest.mark.slow
+def test_stable_range_law_to_nu_16():
+    _check_stable_law(range(9, 17))
+    assert _stable_offsets(12) == [-5, -5, -5, -4, -3, -3, -3, 0, 1, 7, 20]
+    assert _stable_offsets(16) == [-5, -5, -5, -5, -5, -5, -5, -3, -2, -2, -2, 2, 3, 11, 28]
 
 
 def test_blocks_against_brute_force_enumeration():

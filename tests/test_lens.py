@@ -12,7 +12,10 @@ Z[t]/(t^M - 1) and shares only :mod:`qko.abelian` with the engine.
 
 The Galois law is a metamorphic check that needs no oracle: reindexing the
 defining sum by h -> h^t, t odd, gives e_(t tau)[gamma_(tu)] = e_tau[gamma_u]
-and T_(t tau)(t u) = T_tau(u), with the 1-dimensional entries fixed.
+and T_(t tau)(t u) = T_tau(u), with the 1-dimensional entries fixed.  So the
+least permuted eta vector is an isometry invariant of S^(4nu-1)/tau(Q), and
+over the orders tested it also separates the isometry classes (the orbits of
+tau under s -> t*s).
 """
 
 import random
@@ -168,3 +171,44 @@ def test_galois_law(ell):
 
 def test_galois_law_on_a_sample_at_ell_64():
     _check_galois(64, random.Random(64).sample(_folded_taus(32, 4), 12))
+
+
+def _isometry_classes(ell, max_nu):
+    """For each nu <= max_nu, the number of automorphism orbits (s -> t*s, t odd)
+    of folded tau on the full group, after asserting that the least permuted eta
+    vector, min over t of e[gamma_(t*w)] in place w, is one per orbit (the Galois
+    law) and that no two orbits share it."""
+    params = GroupParams(ell)
+    half, quarter = params.half, params.quarter
+    units = range(1, half, 2)
+
+    def fold(s):
+        return min(s % half, -s % half)
+
+    invariant_of, orbit_of = {}, {}
+    for tau in _folded_taus(half, max_nu):
+        orbit = min(tuple(sorted(fold(t * s) for s in tau)) for t in units)
+        vector = eta.eta_vector(params, Subgroup.FULL, tau)
+        least = min(vector[:4] + tuple(vector[3 + fold(t * w)] for w in range(1, quarter))
+                    for t in units)
+        assert invariant_of.setdefault(orbit, least) == least, (ell, tau, orbit)
+        assert orbit_of.setdefault(least, orbit) == orbit, (
+            f"collision at ell {ell}: tau {orbit} and {orbit_of[least]} both give {least}")
+    return [sum(len(orbit) == nu for orbit in invariant_of) for nu in range(1, max_nu + 1)]
+
+
+def test_eta_vector_separates_the_isometry_classes():
+    assert _isometry_classes(8, 4) == [1, 1, 1, 1]
+    assert _isometry_classes(16, 4) == [1, 2, 2, 3]
+    assert _isometry_classes(32, 4) == [1, 3, 5, 10]
+    assert _isometry_classes(64, 4) == [1, 5, 15, 43]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ell, max_nu, orbits", (
+    (16, 8, [1, 2, 2, 3, 3, 4, 4, 5]),
+    (32, 8, [1, 3, 5, 10, 14, 22, 30, 43]),
+    (64, 6, [1, 5, 15, 43, 99, 217]),
+    (128, 4, [1, 9, 51, 245])))
+def test_eta_vector_separates_the_isometry_classes_at_larger_orders(ell, max_nu, orbits):
+    assert _isometry_classes(ell, max_nu) == orbits

@@ -2,13 +2,16 @@
 
 import hashlib
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import pytest
 
-from qko import eta, groups, ktheory, oracles, verify
+from qko import groups, oracles, verify
 from qko.abelian import AbelianGroup
 from qko.cyclotomic import NotRationalError
 from qko.groups import GroupParams
@@ -77,8 +80,8 @@ def test_substrate_trials_keep_their_inputs_and_random_stream(monkeypatch):
 
 
 def _memo_tables():
-    # every memo table of the engine and the oracles, read off the modules
-    return {obj for module in (groups, eta, ktheory, oracles)
+    # every memo table of the package, read off each qko module loaded now
+    return {obj for name, module in list(sys.modules.items()) if name.partition(".")[0] == "qko"
             for obj in vars(module).values() if hasattr(obj, "cache_clear")}
 
 
@@ -130,6 +133,29 @@ def test_verify_empties_every_memo_table_after_each_order():
     assert len(tables) > 10
     assert all(table.cache_info().currsize == 0 for table in tables)
     assert verify.run_verification([8, 16], 4, 3) == first
+
+
+_NEW_MODULE = """
+import functools, sys, types
+sys.path.insert(0, sys.argv[1])
+import qko
+module = types.ModuleType("qko.memoised")
+module.square = functools.lru_cache(maxsize=None)(lambda x: x * x)
+sys.modules[module.__name__] = module
+module.square(3)
+from qko import verify
+verify._release_memo_tables()
+print(module.square.cache_info().currsize)
+"""
+
+
+def test_verify_empties_the_memo_tables_of_any_qko_module():
+    # a memoised function in a module loaded before qko.verify, and named nowhere in it
+    src = str(Path(verify.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _NEW_MODULE, src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_gamma_fold_names_each_failing_class_once(monkeypatch):
