@@ -2,7 +2,7 @@
 real connective K-theory groups they determine."""
 
 from .abelian import AbelianGroup, DimensionMismatchError, quotient_group
-from .cyclotomic import Cyclo, Mod2Z, NotRationalError, ZeroInverseError
+from .cyclotomic import Cyclo, NotRationalError, ZeroInverseError
 from .eta import NotReducedError, SpaceForm, eta_pair, lens_space, quaternion_space
 from .groups import (
     GroupParams,
@@ -25,7 +25,6 @@ __all__ = [
     "GroupParams",
     "InvalidParamsError",
     "KGroupReport",
-    "Mod2Z",
     "NotRationalError",
     "NotReducedError",
     "NotVirtualError",

@@ -19,7 +19,6 @@ from types import SimpleNamespace
 
 from .abelian import AbelianGroup
 from .checks import Check, _check
-from .cyclotomic import Mod2Z
 from .eta import SpaceForm, eta_pair
 from .groups import (
     GroupParams,
@@ -58,8 +57,7 @@ class UsageError(Exception):
 
 
 def _frac_str(value: Fraction) -> str:
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _group_json(group: AbelianGroup) -> dict:
@@ -70,7 +68,7 @@ def _matrix_json(matrix) -> dict:
     return {
         "row_labels": list(matrix.row_labels),
         "col_labels": list(matrix.col_labels),
-        "entries": [[_frac_str(e.rep) for e in row] for row in matrix.entries],
+        "entries": [[_frac_str(e) for e in row] for row in matrix.entries],
     }
 
 
@@ -227,12 +225,12 @@ def _kgroup_report(report: KGroupReport, command: str,
              f"AHSS bound: {report.ahss_bound}"]
     for key, matrix in ((block_names[0], report.a_matrix), ("B", report.b_matrix)):
         lines.append(f"matrix {key} (entries mod 2Z), twists: {', '.join(matrix.col_labels)}")
-        width = max((len(_frac_str(e.rep)) for row in matrix.entries for e in row),
+        width = max((len(_frac_str(e)) for row in matrix.entries for e in row),
                     default=1) + 2
         label_width = max(len(lbl) for lbl in matrix.row_labels) + 2
         for lbl, row in zip(matrix.row_labels, matrix.entries):
             lines.append("  " + lbl.ljust(label_width)
-                         + "".join(_frac_str(e.rep).ljust(width) for e in row))
+                         + "".join(_frac_str(e).ljust(width) for e in row))
     lines += [c.line() for c in checks]
     return json_report, "\n".join(lines) + "\n", 0 if all(c.passed for c in checks) else 1
 
@@ -259,7 +257,7 @@ def cmd_eta(args) -> tuple[dict, str, int]:
     bundle = parse_character(params, args.bundle) if args.bundle is not None else None
     space = SpaceForm(params, Subgroup(args.subgroup), standard_fpf(params, args.nu))
     value = eta_pair(space, sigma, bundle)
-    exact, residue = _frac_str(value), _frac_str(Mod2Z(value).rep)
+    exact, residue = _frac_str(value), _frac_str(value % 2)
     params_json = {"ell": params.ell, "nu": args.nu, "sigma": args.sigma,
                    "bundle": args.bundle, "subgroup": args.subgroup}
     results = {"exact": exact, "mod_2Z": residue}

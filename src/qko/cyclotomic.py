@@ -1,4 +1,4 @@
-"""Exact arithmetic in 2-power cyclotomic fields and in the circle group Q/2Z.
+"""Exact arithmetic in 2-power cyclotomic fields.
 
 A :class:`Cyclo` stores an element of Q(zeta_m), m a power of two, by its
 coordinates in the power basis {1, zeta, ..., zeta^(m/2 - 1)}.  Because the
@@ -255,65 +255,3 @@ class Cyclo:
         nonzero = compress(range(len(self.nums)), self.nums)
         return _format_terms(self.conductor, ((i, Fraction(self.nums[i], self.den)) for i in nonzero))
 
-
-class Mod2Z:
-    """A rational residue modulo 2Z, held by its canonical representative in [0, 2)."""
-
-    __slots__ = ("rep",)
-
-    def __init__(self, value: Scalar) -> None:
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"a residue needs an int or a Fraction, got {value!r}")
-        n, d = value.numerator, value.denominator
-        object.__setattr__(self, "rep", Fraction(n % (2 * d), d))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Mod2Z values are immutable")
-
-    def __reduce__(self) -> tuple:  # for pickle and copy, which would set the slot
-        return Mod2Z, (self.rep,)
-
-    def __add__(self, other: object) -> Mod2Z:
-        if isinstance(other, Mod2Z):
-            return Mod2Z(self.rep + other.rep)
-        if isinstance(other, (int, Fraction)):
-            return Mod2Z(self.rep + other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Mod2Z:
-        return Mod2Z(-self.rep)
-
-    def __sub__(self, other: object) -> Mod2Z:
-        if isinstance(other, Mod2Z):
-            return Mod2Z(self.rep - other.rep)
-        if isinstance(other, (int, Fraction)):
-            return Mod2Z(self.rep - other)
-        return NotImplemented
-
-    def __mul__(self, other: object) -> Mod2Z:
-        if isinstance(other, int):
-            return Mod2Z(self.rep * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Mod2Z):
-            return self.rep == other.rep
-        if isinstance(other, (int, Fraction)):
-            return self.rep == Fraction(other) % 2
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("Mod2Z", self.rep))
-
-    def __bool__(self) -> bool:
-        return bool(self.rep)
-
-    def __repr__(self) -> str:
-        return f"Mod2Z({self.rep})"
-
-    def __str__(self) -> str:
-        return f"{self.rep.numerator}/{self.rep.denominator}"

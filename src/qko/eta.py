@@ -8,7 +8,7 @@ virtual character sigma is the finite sum
 read mod 2Z.  Twisting by a virtual bundle rho inserts the extra factor
 Tr rho(h); a cartesian Z^(4j) factor multiplies the value by its A-roof genus
 (2 for odd j, 1 otherwise).  The functions here return the exact rational;
-whoever reads a residue takes ``Mod2Z`` of it.
+whoever reads a residue reduces it ``% 2`` into [0, 2).
 
 The sum is linear in the class function sigma * rho, so it is evaluated in
 the representation ring.  The fusion rules of :mod:`qko.groups` expand

@@ -32,7 +32,6 @@ from typing import NamedTuple
 
 from .abelian import AbelianGroup, quotient_group
 from .checks import Check, _check, _check_all
-from .cyclotomic import Mod2Z
 from .eta import SpaceForm, eta_pair, eta_theta_closed_form, lens_space, quaternion_space
 from .groups import (
     GroupParams,
@@ -79,18 +78,16 @@ def ksp_generators(nu: int, params: GroupParams) -> tuple[tuple[str, VirtualChar
 
 
 class EtaMatrix(NamedTuple):
-    """A named tuple: a matrix of eta invariants in Q/2Z, generator rows against twist columns."""
+    """A named tuple: a matrix of eta invariants in Q/2Z, generator rows against
+    twist columns, each entry its representative in [0, 2)."""
 
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
-    entries: tuple[tuple[Mod2Z, ...], ...]
+    entries: tuple[tuple[Fraction, ...], ...]
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_labels), len(self.col_labels))
-
-    def rows(self) -> list[list[Fraction]]:
-        return [[e.rep for e in row] for row in self.entries]
 
     def submatrix(self, row_range: range, col_range: range) -> EtaMatrix:
         return EtaMatrix(
@@ -100,7 +97,7 @@ class EtaMatrix(NamedTuple):
         )
 
     def span(self) -> AbelianGroup:
-        return quotient_group(self.rows())
+        return quotient_group(self.entries)
 
 
 _Term = tuple[int, SpaceForm, VirtualCharacter | None]
@@ -112,7 +109,7 @@ def _eta_matrix(twists: tuple[tuple[str, VirtualCharacter], ...],
     forms, terms (c, space, bundle or None), and its entry against the twist
     sigma is the residue of the sum of c * eta_pair(space, sigma, bundle)."""
     entries = tuple(
-        tuple(Mod2Z(sum(c * eta_pair(space, sigma, bundle) for c, space, bundle in terms))
+        tuple(sum(c * eta_pair(space, sigma, bundle) for c, space, bundle in terms) % 2
               for _, sigma in twists)
         for _, terms in rows)
     return EtaMatrix(tuple(lbl for lbl, _ in rows), tuple(lbl for lbl, _ in twists), entries)
@@ -185,19 +182,19 @@ def _theta_pattern(nu: int, params: GroupParams) -> list[list[Fraction]]:
     return [[scale * eta_theta_closed_form(i, j, nu, params) for j in (1, 2)] for i in (1, 2)]
 
 
-def _printed_b_entry(nu: int, i: int, j: int, params: GroupParams) -> Mod2Z:
+def _printed_b_entry(nu: int, i: int, j: int, params: GroupParams) -> Fraction:
     """Entry (i, j) of the printed delta block: eps_i * delta_j * c_(i+j-nu)
     on and below the antidiagonal, 0 above it (an even integer there)."""
     if i + j > nu:
-        return Mod2Z(0)
-    return Mod2Z(_coeff(i % 2 == 1, True) * _coeff(j % 2 == 1, nu % 2 == 1)
-                 * c_constant(i + j - nu, params))
+        return Fraction(0)
+    return (_coeff(i % 2 == 1, True) * _coeff(j % 2 == 1, nu % 2 == 1)
+            * c_constant(i + j - nu, params)) % 2
 
 
 def _entry_mismatches(block: EtaMatrix, expected: list[list[Fraction]]) -> list[str]:
-    return [f"({i},{j}) is {block.entries[i][j]}, expected {Mod2Z(want)}"
+    return [f"({i},{j}) is {block.entries[i][j]}, expected {want % 2}"
             for i, row in enumerate(expected) for j, want in enumerate(row)
-            if block.entries[i][j] != Mod2Z(want)]
+            if block.entries[i][j] != want % 2]
 
 
 def _form_check(name: str, form: str, mismatches: list[str]) -> Check:
@@ -277,7 +274,7 @@ def _check_off_blocks(full: EtaMatrix, split: int) -> None:
         for j in range(n_cols):
             if (i < split) == (j < split):
                 continue
-            if full.entries[i][j] != Mod2Z(0):
+            if full.entries[i][j]:
                 raise StructureMismatchError(
                     f"off-diagonal block entry ({full.row_labels[i]}, "
                     f"{full.col_labels[j]}) is {full.entries[i][j]}, expected 0")
@@ -327,4 +324,4 @@ def ko_ksp_isomorphism_check(k: int, params: GroupParams) -> bool:
     subgroup of (Q/2Z)^(k+2): both matrices pair against twist_schedule(k + 1),
     and their stacked rows span no more than either group's order."""
     ko, ksp = ko_group(k, params), ksp_group(k + 1, params)
-    return quotient_group(ko.matrix.rows() + ksp.matrix.rows()).order == ko.order == ksp.order
+    return quotient_group(ko.matrix.entries + ksp.matrix.entries).order == ko.order == ksp.order

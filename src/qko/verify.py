@@ -24,6 +24,7 @@ from operator import and_, floordiv, rshift
 from . import oracles
 from .abelian import (
     AbelianGroup,
+    DimensionMismatchError,
     matrix_determinant,
     matrix_product,
     quotient_group,
@@ -241,8 +242,10 @@ def _matrix_checks(params: GroupParams, max_nu: int, max_k: int) -> list[Check]:
         bundle_b = ksp_group(k + 1, params).b_matrix
         out += [c_form,
                 _check(f"matrix/b-manifold-vs-bundle/ell{ell}/k{k}",
-                       [[str(e) for e in row] for row in bundle_b.entries],
-                       [[str(e) for e in row] for row in report.b_matrix.entries]),
+                       [[f"{e.numerator}/{e.denominator}" for e in row]
+                        for row in bundle_b.entries],
+                       [[f"{e.numerator}/{e.denominator}" for e in row]
+                        for row in report.b_matrix.entries]),
                 c_block, order,
                 _check(f"ko-ksp-iso/ell{ell}/k{k}", True, ko_ksp_isomorphism_check(k, params)),
                 splitting]
@@ -261,14 +264,17 @@ def brute_force_span(generators: list[tuple[Fraction | int, ...]]) -> AbelianGro
     held as one int whose coordinates sit in fixed-width bit fields wide enough
     for the sum of two residues: adding a generator is one integer add and one
     masked subtraction of 2d from each field that reached 2d."""
-    if not generators:
+    n = len(generators[0]) if generators else 0
+    if any(len(g) != n for g in generators):
+        raise DimensionMismatchError("generators have inconsistent lengths")
+    if not n:  # no generator, or no coordinate: the trivial group
         return AbelianGroup.trivial()
     d = lcm(*(x.denominator for g in generators for x in g))
     modulus = 2 * d
     # with 2^(w-1) >= 2d, a field plus 2^(w-1) - 2d carries into its top bit
     # exactly when the field is at least 2d, and never into the next field
     w = modulus.bit_length() + 1
-    offsets = range(0, w * len(generators[0]), w)
+    offsets = range(0, w * n, w)
     top = sum(1 << (s + w - 1) for s in offsets)
     bias = top - sum(modulus << s for s in offsets)
     shifts = [sum((x.numerator * (d // x.denominator) % modulus) << s for x, s in zip(g, offsets))

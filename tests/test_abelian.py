@@ -308,6 +308,21 @@ def test_span_oracle_peels_factors_in_order(gens, want):
     assert brute_force_span(gens) == quotient_group(gens) == AbelianGroup(want)
 
 
+@pytest.mark.parametrize("gens", [[()], [(), ()]], ids=["one", "two"])
+def test_spans_with_no_coordinates_are_trivial(gens):
+    assert brute_force_span(gens) == quotient_group(gens) == AbelianGroup.trivial()
+
+
+@pytest.mark.parametrize("gens", [
+    [(Fraction(1, 2),), (Fraction(1, 2), Fraction(1, 3))],
+    [(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 2),)],
+], ids=["short-first", "long-first"])
+def test_spans_of_unequal_lengths_raise(gens):
+    for span in (brute_force_span, quotient_group):
+        with pytest.raises(DimensionMismatchError):
+            span(gens)
+
+
 @pytest.mark.parametrize("gens, want", [
     ([(1, 0)], (2,)),
     ([(3,)], (2,)),

@@ -12,7 +12,7 @@ import pytest
 
 import qko
 from qko.abelian import AbelianGroup
-from qko.cyclotomic import Cyclo, Mod2Z
+from qko.cyclotomic import Cyclo
 from qko.eta import quaternion_space
 from qko.groups import FpfRep, GroupParams, InvalidParamsError, VirtualCharacter
 from qko.ktheory import ksp_group, structure_checks
@@ -21,7 +21,7 @@ from qko.ktheory import ksp_group, structure_checks
 def test_public_names_are_the_workflow():
     assert sorted(qko.__all__) == [
         "AbelianGroup", "Cyclo", "DimensionMismatchError", "GroupParams",
-        "InvalidParamsError", "KGroupReport", "Mod2Z", "NotRationalError",
+        "InvalidParamsError", "KGroupReport", "NotRationalError",
         "NotReducedError", "NotVirtualError", "SpaceForm", "StructureMismatchError",
         "Subgroup", "VirtualCharacter", "ZeroInverseError", "delta_power", "eta_pair",
         "irreducible_labels", "ko_group", "ksp_group", "lens_space", "quaternion_space",
@@ -69,7 +69,7 @@ COPIERS.update(copy=copy.copy, deepcopy=copy.deepcopy)
 def test_values_survive_pickle_and_copy(copier):
     # so that they can cross a process boundary, as concurrent workers need
     params = GroupParams(8)
-    values = [Cyclo(8, [Fraction(1, 2), 0, -3, Fraction(2, 3)]), Mod2Z(Fraction(7, 3)),
+    values = [Cyclo(8, [Fraction(1, 2), 0, -3, Fraction(2, 3)]),
               VirtualCharacter(params, {"kappa1": 2, "gamma1": -1}), AbelianGroup((2, 4)),
               ksp_group(2, params)]
     for value in values:

@@ -115,6 +115,17 @@ def test_eta_command(capsys):
     assert report["results"]["mod_2Z"] == "0/1"
 
 
+def test_eta_negative_residue(capsys):
+    # the exact value keeps its sign; the residue is its representative in [0, 2)
+    argv = ("eta", "--ell", "64", "--nu", "2", "--sigma=-Theta1", "--bundle", "Theta1")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"] == {"exact": "-9/4", "mod_2Z": "7/4"}
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "exact:  -9/4\nmod 2Z: 7/4\n" in out
+
+
 def test_eta_zero_pairing(capsys):
     code, out, _ = run_cli(capsys, "eta", "--ell", "8", "--nu", "2",
                            "--sigma", "Theta1", "--bundle", "Delta^3",

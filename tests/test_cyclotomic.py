@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ, Poly, Rational, invert, symbols
 
-from qko.cyclotomic import Cyclo, Mod2Z, NotRationalError, ZeroInverseError
+from qko.cyclotomic import Cyclo, NotRationalError, ZeroInverseError
 from qko.groups import FpfRep, GroupParams, conjugacy_classes, det_I_minus
 
 
@@ -223,8 +223,6 @@ def test_inexact_input_raises(bad):
         Cyclo(8, [0, 0, 0, bad])
     with pytest.raises(TypeError):
         Cyclo.rational(bad, 8)
-    with pytest.raises(TypeError):
-        Mod2Z(bad)
 
 
 def test_zero_inverse_raises():
@@ -271,36 +269,3 @@ def test_str_rendering():
     assert str(Cyclo.zero(8)) == "0"
     assert str(Cyclo.rational(Fraction(-7, 4), 8)) == "-7/4"
     assert str(Cyclo(8, [2, -1, 0, -1])) == "2 - z8 - z8^3"
-
-
-def test_mod2z_canonical_range():
-    assert Mod2Z(Fraction(7, 4)).rep == Fraction(7, 4)
-    assert Mod2Z(Fraction(9, 4)).rep == Fraction(1, 4)
-    assert Mod2Z(Fraction(-1, 4)).rep == Fraction(7, 4)
-    assert Mod2Z(2).rep == 0
-    assert Mod2Z(Fraction(317, 2)).rep == Fraction(1, 2)
-
-
-def test_mod2z_arithmetic():
-    a = Mod2Z(Fraction(7, 4))
-    b = Mod2Z(Fraction(1, 2))
-    assert a + b == Mod2Z(Fraction(1, 4))
-    assert -a == Mod2Z(Fraction(1, 4))
-    assert a - b == Mod2Z(Fraction(5, 4))
-    assert 3 * b == Mod2Z(Fraction(3, 2))
-    assert 4 * b == Mod2Z(0)
-    assert str(a) == "7/4"
-
-
-def test_mod2z_equality_is_representation_equality():
-    assert Mod2Z(Fraction(3, 2)) == Mod2Z(Fraction(-1, 2))
-    assert Mod2Z(Fraction(3, 2)) != Mod2Z(Fraction(1, 2))
-    assert hash(Mod2Z(Fraction(3, 2))) == hash(Mod2Z(Fraction(-1, 2)))
-
-
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.one_of(st.integers(-10**6, 10**6),
-                 st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4)))
-def test_mod2z_residue_is_fraction_mod_2(x):
-    assert Mod2Z(x).rep == Fraction(x) % 2
-    assert type(Mod2Z(x).rep) is Fraction

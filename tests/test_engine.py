@@ -430,7 +430,8 @@ def test_only_verify_imports_the_oracles():
 
 def test_imports_sit_at_top_level_and_form_no_cycle():
     """Every import in the package is a module-level statement, the package's
-    import graph is acyclic, and groups builds on cyclotomic alone."""
+    import graph is acyclic, groups builds on cyclotomic alone, and neither
+    ktheory nor cli imports cyclotomic."""
     package = Path(oracles.__file__).parent
     modules = {path.stem for path in package.glob("*.py")}
     graph = {}
@@ -450,6 +451,7 @@ def test_imports_sit_at_top_level_and_form_no_cycle():
         deps &= modules
     list(TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
     assert graph["groups"] == {"cyclotomic"}
+    assert "cyclotomic" not in graph["ktheory"] | graph["cli"]
 
 
 def test_class_values_of_a_fusion_product():

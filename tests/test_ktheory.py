@@ -9,7 +9,6 @@ import pytest
 
 from qko import eta, ktheory
 from qko.abelian import AbelianGroup, quotient_group
-from qko.cyclotomic import Mod2Z
 from qko.groups import GroupParams, c_constant, delta_power, theta
 from qko.ktheory import (
     StructureMismatchError,
@@ -63,7 +62,7 @@ def test_twist_schedule_coefficient_pattern():
 
 def test_matrix_a_order_8_nu_2():
     a = ksp_group(2, P8).a_matrix
-    expected = [[Mod2Z(1), Mod2Z(Fraction(1, 2))], [Mod2Z(Fraction(1, 2)), Mod2Z(1)]]
+    expected = [[1, Fraction(1, 2)], [Fraction(1, 2), 1]]
     assert [list(row) for row in a.entries] == expected
 
 
@@ -74,15 +73,15 @@ def test_matrix_a_closed_form_all():
             a = ksp_group(nu, params).a_matrix
             scale = Fraction(2) ** ((1 if nu % 2 == 0 else 2) - nu)
             side = params.ell // 8
-            assert a.entries[0][0] == Mod2Z(scale * (side + 1))
-            assert a.entries[0][1] == Mod2Z(scale * side)
+            assert a.entries[0][0] == scale * (side + 1) % 2
+            assert a.entries[0][1] == scale * side % 2
             assert a.entries[1][0] == a.entries[0][1]
             assert a.entries[1][1] == a.entries[0][0]
 
 
 def test_matrix_b_order_8_nu_2():
     b = ksp_group(2, P8).b_matrix
-    assert [list(row) for row in b.entries] == [[Mod2Z(Fraction(7, 4))]]
+    assert [list(row) for row in b.entries] == [[Fraction(7, 4)]]
 
 
 def test_matrix_b_printed_patterns():
@@ -100,9 +99,9 @@ def test_matrix_b_printed_patterns():
                         dlt = 2 if j % 2 == 0 else 1
                     got = b.entries[i - 1][j - 1]
                     if i + j > nu:
-                        assert got == Mod2Z(0), (params.ell, nu, i, j)
+                        assert got == 0, (params.ell, nu, i, j)
                     else:
-                        assert got == Mod2Z(eps * dlt * c_constant(i + j - nu, params)), \
+                        assert got == eps * dlt * c_constant(i + j - nu, params) % 2, \
                             (params.ell, nu, i, j)
 
 
@@ -115,7 +114,7 @@ def test_b_pattern_vanishes_above_antidiagonal():
                 for j in range(nu - i + 1, nu):
                     eps = 2 if i % 2 == 0 else 1
                     dlt = (2 if j % 2 == 1 else 1) if nu % 2 == 0 else (2 if j % 2 == 0 else 1)
-                    assert Mod2Z(eps * dlt * c_constant(i + j - nu, params)) == Mod2Z(0), \
+                    assert eps * dlt * c_constant(i + j - nu, params) % 2 == 0, \
                         (params.ell, nu, i, j)
 
 
@@ -126,20 +125,31 @@ def test_off_diagonal_blocks_vanish():
             for i in range(nu + 1):
                 for j in range(nu + 1):
                     if (i < 2) != (j < 2):
-                        assert full.entries[i][j] == Mod2Z(0), (params.ell, nu, i, j)
+                        assert full.entries[i][j] == 0, (params.ell, nu, i, j)
         for k in (1, 2, 3):
             full = ko_eta_matrix(k, params)
             for i in range(k + 2):
                 for j in range(k + 2):
                     if (i < 2) != (j < 2):
-                        assert full.entries[i][j] == Mod2Z(0), (params.ell, k, i, j)
+                        assert full.entries[i][j] == 0, (params.ell, k, i, j)
+
+
+def test_entries_are_fractions_in_zero_to_two():
+    # each residue mod 2Z is held as its representative in [0, 2)
+    for params in map(GroupParams, (8, 16, 32, 64)):
+        reports = [ksp_group(nu, params) for nu in range(2, 7)]
+        reports += [ko_group(k, params) for k in range(1, 6)]
+        for report in reports:
+            for matrix in (report.matrix, report.a_matrix, report.b_matrix):
+                for e in (e for row in matrix.entries for e in row):
+                    assert type(e) is Fraction and 0 <= e < 2, (report.kind, report.index, e)
 
 
 def test_matrix_c_order_8_entries():
     for k in (1, 2, 3, 4):
         c = ko_group(k, P8).a_matrix
         coeff = (2 if k % 2 == 0 else 1) * Fraction(1, 2 ** k)
-        expected = [[Mod2Z(2 * coeff), Mod2Z(coeff)], [Mod2Z(coeff), Mod2Z(2 * coeff)]]
+        expected = [[2 * coeff % 2, coeff % 2], [coeff % 2, 2 * coeff % 2]]
         assert [list(row) for row in c.entries] == expected
 
 
@@ -154,7 +164,7 @@ def test_matrix_c_span_larger_orders():
             # the directly computed off-diagonal entry is eps * 2^-k * ell/8,
             # which the printed normal form clears by row reduction
             side = params.ell // 8
-            assert c.entries[0][1] == Mod2Z(coeff * side)
+            assert c.entries[0][1] == coeff * side % 2
 
 
 def test_b_manifold_equals_b_bundle():
@@ -280,7 +290,7 @@ def test_wrong_expectation_makes_the_groups_raise(monkeypatch, name, wrong):
 def test_wrong_b_pattern_makes_ksp_group_raise(monkeypatch):
     real = ktheory._printed_b_entry
     monkeypatch.setattr(ktheory, "_printed_b_entry",
-                        lambda nu, i, j, params: real(nu, i, j, params) + Mod2Z(1))
+                        lambda nu, i, j, params: (real(nu, i, j, params) + 1) % 2)
     ksp_group.cache_clear()
     with pytest.raises(StructureMismatchError, match="b-printed-pattern"):
         ksp_group(3, P8)
@@ -310,7 +320,6 @@ resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 sys.path.insert(0, sys.argv[1])
 from fractions import Fraction
 from qko import eta, ktheory
-from qko.cyclotomic import Mod2Z
 from qko.groups import GroupParams, c_constant
 
 def engine_called(*args, **kwargs):
@@ -324,7 +333,7 @@ for e in range(3, 65):
     assert c_constant(-2, params) == (s2 + Fraction(m, 4)) / params.ell, e
 params = GroupParams(2 ** 64)
 block = [ktheory._printed_b_entry(16, i, j, params) for i in range(1, 16) for j in range(1, 16)]
-print(len(block), sum(entry != Mod2Z(0) for entry in block))
+print(len(block), sum(entry != 0 for entry in block))
 """
 
 
@@ -358,15 +367,15 @@ def test_ko_and_ksp_have_one_eta_image():
             ko, ksp = ko_group(k, params), ksp_group(k + 1, params)
             assert ko.matrix.col_labels == ksp.matrix.col_labels, (params.ell, k)
             assert ko.order == ksp.order, (params.ell, k)
-            stacked = quotient_group(ko.matrix.rows() + ksp.matrix.rows())
+            stacked = quotient_group(ko.matrix.entries + ksp.matrix.entries)
             assert stacked.order == ko.order, (params.ell, k)
     # negative control: swapping a theta column with a delta column keeps the
     # KSp group's type but moves its image off the ko image
     ko, ksp = ko_group(1, P8), ksp_group(2, P8)
     assert ksp.matrix.col_labels == ("Theta1", "Theta2", "2*Delta^1")
-    swapped = [[delta, theta2, theta1] for theta1, theta2, delta in ksp.matrix.rows()]
+    swapped = [[delta, theta2, theta1] for theta1, theta2, delta in ksp.matrix.entries]
     assert quotient_group(swapped) == ksp.group
-    assert quotient_group(ko.matrix.rows() + swapped).order == 2 * ko.order
+    assert quotient_group([*ko.matrix.entries, *swapped]).order == 2 * ko.order
 
 
 def test_isomorphism_check_compares_images_not_types(monkeypatch):
@@ -424,11 +433,11 @@ def test_blocks_against_brute_force_enumeration():
     # the n <= 2 blocks of the order-8 computation, re-derived by closing the
     # generating rows under addition mod 2Z
     report = ksp_group(2, P8)
-    assert brute_force_span(report.a_matrix.rows()) == AbelianGroup((4, 4))
-    assert brute_force_span(report.b_matrix.rows()) == AbelianGroup((8,))
+    assert brute_force_span(report.a_matrix.entries) == AbelianGroup((4, 4))
+    assert brute_force_span(report.b_matrix.entries) == AbelianGroup((8,))
     ko_report = ko_group(1, P8)
-    a_oracle = brute_force_span(ko_report.a_matrix.rows())
-    b_oracle = brute_force_span(ko_report.b_matrix.rows())
+    a_oracle = brute_force_span(ko_report.a_matrix.entries)
+    b_oracle = brute_force_span(ko_report.b_matrix.entries)
     assert a_oracle == AbelianGroup((4, 4))
     assert b_oracle == AbelianGroup((8,))
     assert a_oracle.direct_sum(b_oracle) == ko_report.group == AbelianGroup((4, 4, 8))
