@@ -18,6 +18,7 @@ into primes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -33,14 +34,18 @@ def _ints(values: Iterable[int], what: str) -> list[int]:
     """The values as a list; any that is not an int raises TypeError rather
     than being truncated."""
     values = list(values)
-    for x in values:
-        if not isinstance(x, int):
-            raise TypeError(f"{what} {x!r} is not an int")
+    if not {int}.issuperset(map(type, values)):  # a non-int, or an int subclass such as bool
+        for x in values:
+            if not isinstance(x, int):
+                raise TypeError(f"{what} {x!r} is not an int")
     return values
 
 
 def identity_matrix(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 def matrix_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -89,15 +94,19 @@ def _step(p: int, e: int) -> tuple[int, int, int, int]:
 
 
 def _row_step(m: IntMatrix, t: int, i: int, step: tuple[int, int, int, int], modulus: int) -> None:
-    # rows t, i of m become x*row_t + y*row_i, z*row_t + w*row_i, reduced mod a
-    # nonzero modulus; y = 0 only with x = 1
+    # rows t, i of m become x*row_t + y*row_i, z*row_t + w*row_i, each built
+    # in one pass and reduced there mod a nonzero modulus; y = 0 only with
+    # x = 1, which leaves row t as it is (already reduced under a modulus)
     x, y, z, w = step
-    pairs = list(zip(m[t], m[i]))
-    if y:
-        m[t] = [x * top + y * low for top, low in pairs]
-    m[i] = [z * top + w * low for top, low in pairs]
+    top, low = m[t], m[i]
     if modulus:
-        m[t], m[i] = [v % modulus for v in m[t]], [v % modulus for v in m[i]]
+        if y:
+            m[t] = [(x * a + y * b) % modulus for a, b in zip(top, low)]
+        m[i] = [(z * a + w * b) % modulus for a, b in zip(top, low)]
+    else:
+        if y:
+            m[t] = [x * a + y * b for a, b in zip(top, low)]
+        m[i] = [z * a + w * b for a, b in zip(top, low)]
 
 
 def _diagonalize(a: IntMatrix, rows: int, cols: int, modulus: int = 0) -> None:
@@ -138,12 +147,16 @@ def _diagonalize(a: IntMatrix, rows: int, cols: int, modulus: int = 0) -> None:
                     x, y, z, w = _step(top[t], top[j])
                     top[t], top[j] = x * top[t] + y * top[j], 0
                     refilled = refilled or y != 0
-                    for row in a[t + 1 if refilled else rows:]:
-                        row[t], row[j] = x * row[t] + y * row[j], z * row[t] + w * row[j]
-                        if modulus:
-                            row[t], row[j] = row[t] % modulus, row[j] % modulus
-            if not refilled:
-                p = top[t]
+                    below = a[t + 1 if refilled else rows:]
+                    if modulus:
+                        for row in below:
+                            row[t], row[j] = ((x * row[t] + y * row[j]) % modulus,
+                                              (z * row[t] + w * row[j]) % modulus)
+                    else:
+                        for row in below:
+                            row[t], row[j] = x * row[t] + y * row[j], z * row[t] + w * row[j]
+            p = top[t]
+            if not refilled and p not in (1, -1):  # a unit pivot divides everything
                 stray = next((i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1:cols])), None)
                 if stray is not None:  # add it to row t
                     _row_step(a, t, stray, (1, 1, 0, 1), modulus)
@@ -190,7 +203,7 @@ class AbelianGroup:
         for small, big in zip(fs, fs[1:]):
             if big % small:
                 raise ValueError(f"invariant factors must form a divisibility chain: {fs}")
-        object.__setattr__(self, "invariant_factors", fs)
+        _set_factors(self, fs)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("AbelianGroup values are immutable")
@@ -244,6 +257,11 @@ class AbelianGroup:
         return " x ".join(f"Z{d}" for d in self.invariant_factors)
 
 
+# the slot's own setter writes past AbelianGroup.__setattr__, which refuses
+# every write, at less cost than object.__setattr__ (each span builds a group)
+_set_factors = AbelianGroup.invariant_factors.__set__
+
+
 def quotient_group(generators: Sequence[Sequence[Fraction | int]]) -> AbelianGroup:
     """Isomorphism type of the subgroup of (Q/2Z)^n spanned by the generators.
 
@@ -256,7 +274,8 @@ def quotient_group(generators: Sequence[Sequence[Fraction | int]]) -> AbelianGro
     ``int`` or :class:`~fractions.Fraction`; anything else raises ``TypeError``.
     """
     gens = [tuple(g) for g in generators]
-    if not all(isinstance(x, (int, Fraction)) for g in gens for x in g):
+    kinds = set(map(type, chain.from_iterable(gens)))
+    if not all(issubclass(kind, (int, Fraction)) for kind in kinds):
         raise TypeError("generator entries must be int or Fraction")
     ambient_dim = len(gens[0]) if gens else 0
     if any(len(g) != ambient_dim for g in gens):

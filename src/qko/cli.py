@@ -45,7 +45,7 @@ SCHEMA = "qko/1"
 # character table's own work ((ell/4 + 3)^2 short strings) 2-4x and verify's
 # class-value oracles about 4x.  Cold on one CPU of a 2.1 GHz Xeon, each
 # command at its limit ends within 2 s and its own peak RSS (VmHWM) stays under
-# 30 MB: the largest verify 0.9-1.3 s, 19.1 MB; ksp --ell 4096 --nu 16 0.75-0.9 s,
+# 30 MB: the largest verify 0.7-0.9 s, 19.1 MB; ksp --ell 4096 --nu 16 0.7-0.9 s,
 # 18.4 MB; chartable --ell 512, its JSON streamed, 0.1 s, 15.5 MB.
 MAX_ELL = {"chartable": 512, "ksp": 4096, "ko": 4096, "eta": 4096, "verify": 128}
 MAX_NU = 16  # nu of ksp / eta and verify's --max-nu; k and --max-k stop at MAX_NU - 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -38,10 +39,23 @@ def _check_conductor(m: int) -> None:
 
 def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """a * b modulo x^n + 1, n = len(a) = len(b): a negacyclic convolution of
-    integer vectors.  The factor with fewer nonzero entries drives the outer loop."""
+    integer vectors.  With k nonzero entries in the sparser factor, a loop over
+    them costs about k (n + 32) and dense dot products about 3/4 n (n + 16),
+    as measured over n = 2 ... 1024.  So a sparse driver (character values,
+    the tower inverse's even-slot spreads) runs the loop, and two dense factors
+    (det(I - tau) values, the tower inverse's norms at small n) take each
+    coefficient as one dot product with a window of b reversed and sign-extended.
+    """
     n = len(a)
-    if a.count(0) < b.count(0):
-        a, b = b, a
+    zeros_a, zeros_b = a.count(0), b.count(0)
+    if zeros_a < zeros_b:
+        a, b, zeros_a = b, a, zeros_b
+    if 4 * (n - zeros_a) * (n + 32) > 3 * n * (n + 16):
+        # out[k] = sum_i a[i] * b[k - i] with b[-m] = -b[n - m]: the window of
+        # (b[n-1], ..., b[0], -b[n-1], ..., -b[1]) that starts at n - 1 - k
+        rev = list(b[::-1])
+        rev += [-y for y in rev[:-1]]
+        return [sum(map(mul, a, rev[s:s + n])) for s in range(n - 1, -1, -1)]
     out = [0] * n
     for i, c in enumerate(a):
         if not c:
@@ -75,9 +89,9 @@ def _make(conductor: int, nums: Sequence[int], den: int) -> Cyclo:
     if den != 1 and (g := gcd(den, *nums)) != 1:
         nums, den = [x // g for x in nums], den // g
     value = object.__new__(Cyclo)
-    object.__setattr__(value, "conductor", conductor)
-    object.__setattr__(value, "nums", tuple(nums))
-    object.__setattr__(value, "den", den)
+    _set_conductor(value, conductor)
+    _set_nums(value, tuple(nums))
+    _set_den(value, den)
     return value
 
 
@@ -255,3 +269,7 @@ class Cyclo:
         nonzero = compress(range(len(self.nums)), self.nums)
         return _format_terms(self.conductor, ((i, Fraction(self.nums[i], self.den)) for i in nonzero))
 
+
+# each slot's own setter writes past Cyclo.__setattr__, which refuses every
+# write, at less cost than object.__setattr__ (each product builds a value)
+_set_conductor, _set_nums, _set_den = Cyclo.conductor.__set__, Cyclo.nums.__set__, Cyclo.den.__set__

@@ -107,11 +107,15 @@ def _eta_matrix(twists: tuple[tuple[str, VirtualCharacter], ...],
                 rows: list[tuple[str, list[_Term]]]) -> EtaMatrix:
     """The one assembly: each labelled row is a formal sum of twisted space
     forms, terms (c, space, bundle or None), and its entry against the twist
-    sigma is the residue of the sum of c * eta_pair(space, sigma, bundle)."""
-    entries = tuple(
-        tuple(sum(c * eta_pair(space, sigma, bundle) for c, space, bundle in terms) % 2
-              for _, sigma in twists)
-        for _, terms in rows)
+    sigma is the residue of the sum of c * eta_pair(space, sigma, bundle).
+    A term with c = 1 is its pairing, and the sum starts from the first term,
+    so a one-term row does no Fraction arithmetic beyond the residue."""
+    def entry(terms: list[_Term], sigma: VirtualCharacter) -> Fraction:
+        first, *rest = (eta_pair(space, sigma, bundle) if c == 1
+                        else c * eta_pair(space, sigma, bundle) for c, space, bundle in terms)
+        return sum(rest, first) % 2
+
+    entries = tuple(tuple(entry(terms, sigma) for _, sigma in twists) for _, terms in rows)
     return EtaMatrix(tuple(lbl for lbl, _ in rows), tuple(lbl for lbl, _ in twists), entries)
 
 

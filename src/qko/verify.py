@@ -290,21 +290,23 @@ def brute_force_span(generators: list[tuple[Fraction | int, ...]]) -> AbelianGro
                 elements.add(nxt)
                 found.append(nxt)
 
-    # n kills prod gcd(n, d_i) elements, so with the largest invariant factors
-    # f found, the next is the least n | 2d that kills |rest| * prod gcd(n, f);
-    # an element's order is 2d / gcd(2d, its coordinates)
+    # an element's order is 2d / gcd(2d, its coordinates), and n kills the
+    # elements whose order divides n, prod gcd(n, d_i) of them.  The largest
+    # invariant factor is the exponent, the largest order; with the largest
+    # factors f found, the next is the least order n that kills
+    # |rest| * prod gcd(n, f) elements (the orders met are the exponent's divisors)
     gcds, mask = repeat(modulus), (1 << w) - 1
     for s in offsets:
         gcds = map(gcd, gcds, map(and_, map(rshift, found, repeat(s)), repeat(mask)))
     orders = Counter(map(floordiv, repeat(modulus), gcds))
-    divisors = [n for n in range(1, modulus + 1) if modulus % n == 0]
-    killed = {n: sum(c for o, c in orders.items() if n % o == 0) for n in divisors}
-    factors, rest = [], len(elements)
+    factors = [max(orders)]
+    rest = len(found) // factors[0]
     while rest > 1:
-        factors.append(next(n for n in divisors
-                            if killed[n] == rest * prod(gcd(n, f) for f in factors)))
+        factors.append(next(n for n in sorted(orders)
+                            if sum(c for o, c in orders.items() if n % o == 0)
+                            == rest * prod(gcd(n, f) for f in factors)))
         rest //= factors[-1]
-    return AbelianGroup(reversed(factors))
+    return AbelianGroup(f for f in reversed(factors) if f > 1)
 
 
 def _arith_checks() -> list[Check]:

@@ -389,3 +389,25 @@ def spans(draw):
 @given(spans())
 def test_quotient_matches_brute_force_on_random_spans(gens):
     assert quotient_group(gens) == brute_force_span(gens)
+
+
+@st.composite
+def spans_in_three_coordinates(draw):
+    """1-4 generators of length 3 whose denominators divide one bound of at
+    most 12, so their lcm is at most 12; numerators in [-4q, 4q) give
+    unreduced and negative entries too."""
+    bound = draw(st.integers(1, 12))
+    denominator = st.sampled_from([q for q in range(1, bound + 1) if bound % q == 0])
+
+    def entry():
+        q = draw(denominator)
+        return Fraction(draw(st.integers(-4 * q, 4 * q - 1)), q)
+
+    return [(entry(), entry(), entry()) for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(spans_in_three_coordinates())
+def test_quotient_matches_brute_force_in_three_coordinates(gens):
+    # the fused mod-2d row and column steps on wider blocks than verify's trials
+    assert quotient_group(gens) == brute_force_span(gens)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ, Poly, Rational, invert, symbols
 
-from qko.cyclotomic import Cyclo, NotRationalError, ZeroInverseError
+from qko.cyclotomic import Cyclo, NotRationalError, ZeroInverseError, _product
 from qko.groups import FpfRep, GroupParams, conjugacy_classes, det_I_minus
 
 
@@ -68,6 +68,74 @@ def test_poly_oracle_on_random_products():
         a = Cyclo(m, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)])
         b = Cyclo(m, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)])
         assert list((a * b).coeffs) == poly_mult_mod(list(a.coeffs), list(b.coeffs), n)
+
+
+def _negacyclic(a, b):
+    # the product modulo x^n + 1 by its definition: a_i * b_j lands on
+    # x^(i + j), and x^(i + j) = -x^(i + j - n) past the top
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] += x * y
+            else:
+                out[i + j - n] -= x * y
+    return out
+
+
+_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(2 ** 100, 2 ** 140),
+                     st.integers(-2 ** 140, -2 ** 100))
+
+
+@st.composite
+def product_factors(draw):
+    """Two integer vectors of one length n = 1, 2, 4, ..., 64, each filled in
+    all places or in any number of them, with small signed entries and
+    entries of 100 to 140 bits, so that both paths of _product run at every n."""
+    n = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
+
+    def vector():
+        out = [0] * n
+        for i in draw(st.permutations(range(n)))[:draw(st.one_of(st.just(n), st.integers(0, n)))]:
+            out[i] = draw(_ENTRIES)
+        return out
+
+    return vector(), vector()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(product_factors())
+def test_product_is_the_negacyclic_convolution(factors):
+    a, b = factors
+    want = _negacyclic(a, b)
+    assert _product(a, b) == want
+    assert _product(tuple(b), tuple(a)) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 128])
+def test_product_on_each_side_of_the_path_switch(n):
+    # the sparser factor's nonzero count runs from 0 to n, across the switch
+    # from the per-nonzero loop to the dense sums, against a dense factor
+    rng = random.Random(n)
+    dense = [rng.choice([-1, 1]) * rng.getrandbits(120) or 1 for _ in range(n)]
+    for count in range(n + 1):
+        sparse = [0] * n
+        for i in rng.sample(range(n), count):
+            sparse[i] = rng.randint(-9, 9) or 5
+        want = _negacyclic(sparse, dense)
+        assert _product(sparse, dense) == want == _product(dense, sparse), (n, count)
+
+
+@pytest.mark.slow
+def test_product_at_conductor_2048():
+    # n = 1024, the length of the largest products of the tower inverse
+    rng = random.Random(1024)
+    dense = [rng.getrandbits(110) - 2 ** 109 for _ in range(1024)]
+    spread = [0] * 1024
+    spread[::2] = [rng.getrandbits(110) - 2 ** 109 for _ in range(512)]
+    for a, b in ((dense, dense[::-1]), (spread, dense)):
+        assert _product(a, b) == _negacyclic(a, b)
 
 
 def test_inverse_simple():

@@ -145,6 +145,31 @@ def test_entries_are_fractions_in_zero_to_two():
                     assert type(e) is Fraction and 0 <= e < 2, (report.kind, report.index, e)
 
 
+def test_entries_are_the_residues_of_their_rows_eta_sums(monkeypatch):
+    # the reference for the assembly: each entry is sum(c * eta_pair(space,
+    # sigma, bundle)) % 2 over its row's terms, summed as Fractions from 0
+    assembled = []
+    real = ktheory._eta_matrix
+
+    def recorded(twists, rows):
+        matrix = real(twists, rows)
+        assembled.append((twists, rows, matrix))
+        return matrix
+
+    monkeypatch.setattr(ktheory, "_eta_matrix", recorded)
+    for params in map(GroupParams, (8, 16, 32, 64)):
+        for nu in range(2, 9):
+            ksp_eta_matrix(nu, params)
+        for k in range(1, 8):
+            ko_eta_matrix(k, params)
+    assert len(assembled) == 4 * 14
+    for twists, rows, matrix in assembled:
+        want = tuple(tuple(sum(c * eta.eta_pair(space, sigma, bundle) for c, space, bundle in terms) % 2
+                           for _, sigma in twists)
+                     for _, terms in rows)
+        assert matrix.entries == want, matrix.row_labels
+
+
 def test_matrix_c_order_8_entries():
     for k in (1, 2, 3, 4):
         c = ko_group(k, P8).a_matrix

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qko import groups, oracles, verify
+from qko import abelian, cli, groups, ktheory, oracles, verify
 from qko.abelian import AbelianGroup
 from qko.cyclotomic import NotRationalError
 from qko.groups import GroupParams
@@ -125,6 +125,37 @@ def test_verify_forms_each_fusion_product_once_and_class_values_on_integers(monk
     monkeypatch.setattr(oracles, "gamma_trace", refuse)
     assert len(want) > 20
     assert {f: class_values(f) for f in characters} == want
+
+
+def test_verify_job_does_a_fixed_amount_of_work(monkeypatch, capsys):
+    # a work-count guard on the benchmark's verify job: a faster kernel must
+    # do the same Smith eliminations and eta pairings, none skipped or shared
+    for table in _memo_tables():
+        table.cache_clear()
+    moduli, pairings = [], Counter()
+    diagonalize = abelian._diagonalize
+
+    def record_elimination(a, rows, cols, modulus=0):
+        moduli.append(modulus)
+        return diagonalize(a, rows, cols, modulus)
+
+    def counted(caller):
+        pair = getattr(caller, "eta_pair")
+
+        def record_pairing(*args):
+            pairings[caller.__name__] += 1
+            return pair(*args)
+
+        return record_pairing
+
+    monkeypatch.setattr(abelian, "_diagonalize", record_elimination)
+    for caller in (ktheory, verify):
+        monkeypatch.setattr(caller, "eta_pair", counted(caller))
+    assert cli.main(["verify", "--ell", "8,16,32", "--max-nu", "6", "--max-k", "5"]) == 0
+    assert capsys.readouterr().out.endswith(" checks passed\n")
+    # smith_normal_form eliminates with no modulus, and each span modulo its 2d
+    assert (len(moduli), moduli.count(0)) == (737, 200)
+    assert pairings == {"qko.ktheory": 960, "qko.verify": 999}
 
 
 def test_verify_empties_every_memo_table_after_each_order():
