@@ -3,19 +3,24 @@
 Subcommands: ``chartable`` (character table and span summary), ``ksp`` and
 ``ko`` (K-group structure reports), ``eta`` (a single twisted pairing), and
 ``verify`` (the full named-check suite).  ``parse_args`` reads each command's
-flags from ``FLAGS``.  Reports are aligned text or JSON with every rational an
-exact "p/q" string, never a float.  Exit codes: 0 success / all checks pass,
-1 verification failure, 2 usage error (one ``error:`` line on stderr).
+flags from ``FLAGS``.  Each command returns its JSON report and a function that
+builds the aligned text report, which ``main`` calls only for ``--format text``;
+every rational is an exact "p/q" string, never a float.  Exit codes: 0 success /
+all checks pass, 1 verification failure, 2 usage error (one ``error:`` line on
+stderr).
 """
 
 from __future__ import annotations
 
+import atexit
+import gc
 import json
 import os
 import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Callable
 
 from .abelian import AbelianGroup
 from .checks import Check, _check
@@ -39,6 +44,9 @@ from .ktheory import KGroupReport, ko_group, ko_order_formula, ksp_group, ksp_or
 from .verify import run_verification
 
 SCHEMA = "qko/1"
+
+# Exit fast: the teardown collections skip the frozen heap (qko processes only, not the library).
+atexit.register(gc.freeze)
 
 # The largest inputs each command accepts; past them it exits 2 before any
 # group is built.  Per doubling of ell, ksp / ko / eta cost 2-3x more, the
@@ -142,7 +150,7 @@ def _bounded(flag: str, value: int, low: int, high: int) -> None:
         raise UsageError(f"{flag} must be in {low}..{high}, got {value}")
 
 
-def cmd_chartable(args) -> tuple[dict, str, int]:
+def cmd_chartable(args) -> tuple[dict, Callable[[], str], int]:
     params = _params(args.ell, "chartable")
     classes = conjugacy_classes(params)
     labels = irreducible_labels(params)
@@ -167,22 +175,25 @@ def cmd_chartable(args) -> tuple[dict, str, int]:
     report = {"schema": SCHEMA, "command": "chartable",
               "params": {"ell": params.ell}, "results": results, "checks": []}
 
-    names = ["class"] + [c["rep"] for c in results["classes"]]
-    widths = [max(10, len(n) + 2) for n in names]
-    lines = [f"Character table for the quaternion group of order {params.ell} "
-             f"(values in the cyclotomic field of conductor {params.conductor})"]
-    lines.append("".join(n.ljust(w) for n, w in zip(names, widths)))
-    lines.append("".join(str(s).ljust(w) for s, w in
-                         zip(["size"] + [c["size"] for c in results["classes"]], widths)))
-    for row in rows:
-        cells = [row["label"]] + row["values"]
-        lines.append("".join(str(c).ljust(w) for c, w in zip(cells, widths)))
-    lines.append("")
-    lines.append("Frobenius-Schur: " + ", ".join(f"{l} {fs[l]:+d} ({kind[fs[l]]})"
-                                                 for l in labels))
-    lines.append("RO  span: " + ", ".join(ro_span))
-    lines.append("RSp span: " + ", ".join(rsp_span))
-    return report, "\n".join(lines) + "\n", 0
+    def text() -> str:
+        names = ["class"] + [c["rep"] for c in results["classes"]]
+        widths = [max(10, len(n) + 2) for n in names]
+        lines = [f"Character table for the quaternion group of order {params.ell} "
+                 f"(values in the cyclotomic field of conductor {params.conductor})"]
+        lines.append("".join(n.ljust(w) for n, w in zip(names, widths)))
+        lines.append("".join(str(s).ljust(w) for s, w in
+                             zip(["size"] + [c["size"] for c in results["classes"]], widths)))
+        for row in rows:
+            cells = [row["label"]] + row["values"]
+            lines.append("".join(str(c).ljust(w) for c, w in zip(cells, widths)))
+        lines.append("")
+        lines.append("Frobenius-Schur: " + ", ".join(f"{l} {fs[l]:+d} ({kind[fs[l]]})"
+                                                     for l in labels))
+        lines.append("RO  span: " + ", ".join(ro_span))
+        lines.append("RSp span: " + ", ".join(rsp_span))
+        return "\n".join(lines) + "\n"
+
+    return report, text, 0
 
 
 def _kgroup_checks(report: KGroupReport) -> list[Check]:
@@ -195,8 +206,9 @@ def _kgroup_checks(report: KGroupReport) -> list[Check]:
 
 
 def _kgroup_report(report: KGroupReport, command: str,
-                   params_json: dict) -> tuple[dict, str, int]:
-    """The JSON and text reports of a ksp / ko job, and its exit code: 1 when a row fails."""
+                   params_json: dict) -> tuple[dict, Callable[[], str], int]:
+    """The JSON report of a ksp / ko job, the function that builds its text report,
+    and its exit code: 1 when a row fails."""
     block_names = ("C", "B") if report.kind == "ko" else ("A", "B")
     results = {
         "group": _group_json(report.group),
@@ -213,41 +225,44 @@ def _kgroup_report(report: KGroupReport, command: str,
     json_report = {"schema": SCHEMA, "command": command, "params": params_json,
                    "results": results, "checks": [c._asdict() for c in checks]}
 
-    title = ("KSp of the quaternion spherical space form of dimension "
-             f"{4 * report.index - 1} (ell={report.params.ell}, nu={report.index})"
-             if report.kind == "ksp" else
-             f"Real connective K-theory of the classifying space in degree "
-             f"{4 * report.index - 1} (ell={report.params.ell}, k={report.index})")
-    lines = [title,
-             f"group:      {report.group}   (order {report.order})",
-             f"{block_names[0]} block:    {report.a_block} -- {report.splitting[0][1]}",
-             f"B block:    {report.b_block} -- {report.splitting[1][1]}",
-             f"AHSS bound: {report.ahss_bound}"]
-    for key, matrix in ((block_names[0], report.a_matrix), ("B", report.b_matrix)):
-        lines.append(f"matrix {key} (entries mod 2Z), twists: {', '.join(matrix.col_labels)}")
-        width = max((len(_frac_str(e)) for row in matrix.entries for e in row),
-                    default=1) + 2
-        label_width = max(len(lbl) for lbl in matrix.row_labels) + 2
-        for lbl, row in zip(matrix.row_labels, matrix.entries):
-            lines.append("  " + lbl.ljust(label_width)
-                         + "".join(_frac_str(e).ljust(width) for e in row))
-    lines += [c.line() for c in checks]
-    return json_report, "\n".join(lines) + "\n", 0 if all(c.passed for c in checks) else 1
+    def text() -> str:
+        title = ("KSp of the quaternion spherical space form of dimension "
+                 f"{4 * report.index - 1} (ell={report.params.ell}, nu={report.index})"
+                 if report.kind == "ksp" else
+                 f"Real connective K-theory of the classifying space in degree "
+                 f"{4 * report.index - 1} (ell={report.params.ell}, k={report.index})")
+        lines = [title,
+                 f"group:      {report.group}   (order {report.order})",
+                 f"{block_names[0]} block:    {report.a_block} -- {report.splitting[0][1]}",
+                 f"B block:    {report.b_block} -- {report.splitting[1][1]}",
+                 f"AHSS bound: {report.ahss_bound}"]
+        for key, matrix in ((block_names[0], report.a_matrix), ("B", report.b_matrix)):
+            lines.append(f"matrix {key} (entries mod 2Z), twists: {', '.join(matrix.col_labels)}")
+            width = max((len(_frac_str(e)) for row in matrix.entries for e in row),
+                        default=1) + 2
+            label_width = max(len(lbl) for lbl in matrix.row_labels) + 2
+            for lbl, row in zip(matrix.row_labels, matrix.entries):
+                lines.append("  " + lbl.ljust(label_width)
+                             + "".join(_frac_str(e).ljust(width) for e in row))
+        lines += [c.line() for c in checks]
+        return "\n".join(lines) + "\n"
+
+    return json_report, text, 0 if all(c.passed for c in checks) else 1
 
 
-def cmd_ksp(args) -> tuple[dict, str, int]:
+def cmd_ksp(args) -> tuple[dict, Callable[[], str], int]:
     params = _params(args.ell, "ksp")
     _bounded("--nu", args.nu, 2, MAX_NU)
     return _kgroup_report(ksp_group(args.nu, params), "ksp", {"ell": params.ell, "nu": args.nu})
 
 
-def cmd_ko(args) -> tuple[dict, str, int]:
+def cmd_ko(args) -> tuple[dict, Callable[[], str], int]:
     params = _params(args.ell, "ko")
     _bounded("--k", args.k, 1, MAX_NU - 1)
     return _kgroup_report(ko_group(args.k, params), "ko", {"ell": params.ell, "k": args.k})
 
 
-def cmd_eta(args) -> tuple[dict, str, int]:
+def cmd_eta(args) -> tuple[dict, Callable[[], str], int]:
     params = _params(args.ell, "eta")
     _bounded("--nu", args.nu, 1, MAX_NU)
     sigma = parse_character(params, args.sigma)
@@ -263,15 +278,15 @@ def cmd_eta(args) -> tuple[dict, str, int]:
     results = {"exact": exact, "mod_2Z": residue}
     report = {"schema": SCHEMA, "command": "eta", "params": params_json,
               "results": results, "checks": []}
-    text = (f"eta invariant over subgroup '{args.subgroup}' with {args.nu} summands\n"
-            f"sigma:  {sigma}\n"
-            f"bundle: {bundle if bundle is not None else '(untwisted)'}\n"
-            f"exact:  {exact}\n"
-            f"mod 2Z: {residue}\n")
-    return report, text, 0
+    return report, lambda: (
+        f"eta invariant over subgroup '{args.subgroup}' with {args.nu} summands\n"
+        f"sigma:  {sigma}\n"
+        f"bundle: {bundle if bundle is not None else '(untwisted)'}\n"
+        f"exact:  {exact}\n"
+        f"mod 2Z: {residue}\n"), 0
 
 
-def cmd_verify(args) -> tuple[dict, str, int]:
+def cmd_verify(args) -> tuple[dict, Callable[[], str], int]:
     try:
         ells = [int(x) for x in args.ell.split(",") if x.strip()]
     except ValueError as exc:
@@ -292,9 +307,13 @@ def cmd_verify(args) -> tuple[dict, str, int]:
               "params": {"ell": ells, "max_nu": args.max_nu, "max_k": args.max_k},
               "results": results,
               "checks": [c._asdict() for c in checks]}
-    lines = [c.line() for c in checks]
-    lines.append(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
-    return report, "\n".join(lines) + "\n", 1 if failed else 0
+
+    def text() -> str:
+        lines = [c.line() for c in checks]
+        lines.append(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
+        return "\n".join(lines) + "\n"
+
+    return report, text, 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +391,8 @@ _COMMANDS = {"chartable": cmd_chartable, "ksp": cmd_ksp, "ko": cmd_ko,
 def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        report, text, code = _COMMANDS[args.command](args) if args.command else (None, args.help, 0)
+        report, text, code = (_COMMANDS[args.command](args) if args.command
+                              else (None, lambda: args.help, 0))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -380,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "json":
             render_json(report)
         else:
-            sys.stdout.write(text)
+            sys.stdout.write(text())
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left early; the flush at exit now writes to devnull and cannot fail.

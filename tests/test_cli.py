@@ -76,7 +76,7 @@ def test_failing_kgroup_row_reports_expected_and_got():
     row = json_report["checks"][0]
     assert row == {"name": "ksp/order-vs-bound", "passed": False,
                    "expected": "7", "actual": str(report.order)}
-    assert f"FAIL ksp/order-vs-bound: expected 7, got {report.order}\n" in text
+    assert f"FAIL ksp/order-vs-bound: expected 7, got {report.order}\n" in text()
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -574,4 +574,31 @@ def test_module_entry_point():
          "--format", "json"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["results"]["group"]["invariant_factors"] == [4, 4, 8]
+    assert proc.stdout == (Path(__file__).parent / "golden" / "ksp_ell8_nu2.json").read_text()
+
+
+# Registers an exit probe before any qko import; exit handlers run last in,
+# first out, so the probe runs after every handler that qko registered.
+_EXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(f"frozen at exit: {gc.get_freeze_count() > 0}"))
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2:]:
+    from qko.cli import main
+    main(sys.argv[2:])
+else:
+    import qko, qko.ktheory
+"""
+
+
+@pytest.mark.parametrize("argv, frozen", [
+    (("ksp", "--ell", "8", "--nu", "2", "--format", "json"), True),
+    ((), False),
+], ids=["cli", "library"])
+def test_only_the_cli_freezes_the_heap_at_exit(argv, frozen):
+    """A qko process skips the teardown collections; importing the library
+    alone leaves its host's exit as it was."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", _EXIT_PROBE, src, *argv],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (0, f"frozen at exit: {frozen}")

@@ -78,6 +78,25 @@ def test_chartable_matches_pinned_sha256(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("ksp", "--ell", "16", "--nu", "3"),
+     "d38fb17e50b918d37639449ddac12fe9d5a38d5f2ea7dfb3c384469ef4f8c01b"),
+    (("ko", "--ell", "16", "--k", "3"),
+     "5b31edc18f0eb8b70d27b10d14c34ce3a2d37f95497bbade2ce4501a767f5201"),
+    (("eta", "--ell", "32", "--nu", "3", "--sigma", "Theta1", "--bundle", "Delta^1",
+      "--subgroup", "J"),
+     "bd3dfbf41be007a24a31973f2799a24569a975702cf3166c5c9786487052fa30"),
+    (("verify", "--ell", "8,16"),
+     "10f3a43ec878fce97c8de89b6b5f23561ce009af0c6dff1eb9bbdeb8ed7ab8e4"),
+], ids=["ksp", "ko", "eta", "verify"])
+def test_text_report_matches_pinned_sha256(argv, digest, capsys):
+    """One text report per command besides chartable: the digests pin the
+    output as it was when every command still built both renderings."""
+    assert main([*argv, "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_128_matches_pinned_sha256(capsys):
     """verify at its input limit, ell = 128: the digest pins the output as it
     was when each Cyclo still held a tuple of Fractions."""
