@@ -17,11 +17,11 @@ into primes.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Sequence
 
 IntMatrix = list[list[int]]
 

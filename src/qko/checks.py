@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 
-class Check(NamedTuple):
-    name: str
-    passed: bool
-    expected: str
-    actual: str
+class Check(namedtuple("Check", "name passed expected actual")):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -18,9 +18,9 @@ import json
 import os
 import re
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable
 
 from .abelian import AbelianGroup
 from .checks import Check, _check
@@ -90,9 +90,8 @@ def render_json(report: dict) -> None:
 # Virtual character expressions
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*?\s*)?"
-    r"(?P<atom>Theta1|Theta2|Delta(?:\^(?P<power>\d+))?|rho0|kappa[123]|gamma_?\d+)\s*")
+_TERM = (r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*?\s*)?"
+         r"(?P<atom>Theta1|Theta2|Delta(?:\^(?P<power>\d+))?|rho0|kappa[123]|gamma_?\d+)\s*")
 
 
 def parse_character(params: GroupParams, text: str) -> VirtualCharacter:
@@ -101,10 +100,11 @@ def parse_character(params: GroupParams, text: str) -> VirtualCharacter:
         raise UsageError(f"a number in the expression has more than {MAX_DIGITS} digits")
     if not text.strip():
         raise UsageError("empty character expression")
+    term_re = re.compile(_TERM)  # here, not at import: only qko eta reads it
     result = VirtualCharacter.zero(params)
     pos = 0
     while pos < len(text):
-        match = _TERM_RE.match(text, pos)
+        match = term_re.match(text, pos)
         if not match or (pos > 0 and match.group("sign") is None):
             raise UsageError(f"cannot parse character expression at: {text[pos:]!r}")
         sign = -1 if match.group("sign") == "-" else 1

@@ -15,13 +15,13 @@ algebra: it takes field norms down the 2-power tower to a rational reciprocal.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class ZeroInverseError(ZeroDivisionError):

@@ -28,13 +28,13 @@ builds is :func:`det_I_minus`.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import add, sub
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
 
 from .cyclotomic import Cyclo, _format_terms
 
@@ -76,11 +76,10 @@ class GroupParams(namedtuple("GroupParams", "ell")):
         return self.half
 
 
-class GroupElement(NamedTuple):
+class GroupElement(namedtuple("GroupElement", "a b")):
     """xi^a J^b, with a reduced mod ell/2 and b mod 2."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
 
 class Subgroup(Enum):

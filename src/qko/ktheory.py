@@ -26,9 +26,9 @@ schedule at nu = k+1.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .abelian import AbelianGroup, quotient_group
 from .checks import Check, _check, _check_all
@@ -77,13 +77,11 @@ def ksp_generators(nu: int, params: GroupParams) -> tuple[tuple[str, VirtualChar
     return _scaled_basis(nu, params, quaternionic=True)
 
 
-class EtaMatrix(NamedTuple):
+class EtaMatrix(namedtuple("EtaMatrix", "row_labels col_labels entries")):
     """A named tuple: a matrix of eta invariants in Q/2Z, generator rows against
     twist columns, each entry its representative in [0, 2)."""
 
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -205,23 +203,15 @@ def _form_check(name: str, form: str, mismatches: list[str]) -> Check:
     return Check(name, not mismatches, form, "; ".join(mismatches) or form)
 
 
-class KGroupReport(NamedTuple):
-    """A computed K-group, as a named tuple: its structure, the per-block
-    structures, and the matrices the computation went through."""
+class KGroupReport(namedtuple("KGroupReport", "kind params index group a_block b_block order "
+                                "ahss_bound matrix a_matrix b_matrix splitting checks",
+                                defaults=((),))):
+    """A computed K-group, as a named tuple: its kind ("ksp" or "ko"), its
+    structure, the per-block structures, and the matrices the computation went
+    through.  The field index is nu for ksp and k for ko, and hides
+    tuple.index; checks holds the structure_checks rows once they have passed."""
 
-    kind: str                 # "ksp" or "ko"
-    params: GroupParams
-    index: int                # nu for ksp, k for ko; hides tuple.index
-    group: AbelianGroup
-    a_block: AbelianGroup
-    b_block: AbelianGroup
-    order: int
-    ahss_bound: int
-    matrix: EtaMatrix
-    a_matrix: EtaMatrix
-    b_matrix: EtaMatrix
-    splitting: tuple[tuple[str, str], ...]
-    checks: tuple[Check, ...] = ()  # the structure_checks rows, once they have passed
+    __slots__ = ()
 
 
 def structure_checks(report: KGroupReport) -> list[Check]:

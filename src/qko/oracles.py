@@ -20,11 +20,11 @@ the tests compare them.  Only they import this module.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 from .cyclotomic import Cyclo, NotRationalError, _make, _product
 from .eta import NotReducedError, SpaceForm

@@ -14,7 +14,7 @@ import qko
 from qko.abelian import AbelianGroup
 from qko.cyclotomic import Cyclo
 from qko.eta import quaternion_space
-from qko.groups import FpfRep, GroupParams, InvalidParamsError, VirtualCharacter
+from qko.groups import FpfRep, GroupElement, GroupParams, InvalidParamsError, VirtualCharacter
 from qko.ktheory import ksp_group, structure_checks
 
 
@@ -37,26 +37,41 @@ def test_removed_names_stay_importable_from_their_modules():
     from qko.ktheory import ko_order_formula, ksp_order_formula, structure_checks  # noqa: F401
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+def test_cli_import_loads_no_typing_contextlib_dataclasses_or_inspect():
     src = str(Path(qko.__file__).resolve().parents[1])
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import qko.cli; "
-             "print(*(m in sys.modules for m in ('dataclasses', 'inspect', 'qko.verify')))")
+             "print(*(m in sys.modules for m in "
+             "('typing', 'contextlib', 'dataclasses', 'inspect', 'qko.verify')))")
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", probe, src],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["False", "False", "True"]
+    assert proc.stdout.split() == ["False"] * 4 + ["True"]
+
+
+RECORD_FIELDS = {
+    "GroupParams": ("ell",),
+    "GroupElement": ("a", "b"),
+    "FpfRep": ("params", "summands"),
+    "SpaceForm": ("params", "subgroup", "tau", "z_factor"),
+    "EtaMatrix": ("row_labels", "col_labels", "entries"),
+    "KGroupReport": ("kind", "params", "index", "group", "a_block", "b_block", "order",
+                     "ahss_bound", "matrix", "a_matrix", "b_matrix", "splitting", "checks"),
+    "Check": ("name", "passed", "expected", "actual"),
+}
 
 
 def test_records_are_immutable():
     params = GroupParams(8)
     report = ksp_group(2, params)
-    fields = [(params, "ell"), (FpfRep(params, (1, 3)), "summands"),
-              (quaternion_space(params, 2), "tau"), (report.matrix, "entries"),
-              (report, "index"), (structure_checks(report)[0], "passed")]
-    assert len({type(record) for record, _ in fields}) == 6
-    for record, field in fields:
-        for name in (field, "extra"):
+    records = [params, GroupElement(1, 0), FpfRep(params, (1, 3)), quaternion_space(params, 2),
+               report.matrix, report, structure_checks(report)[0]]
+    assert [type(record).__name__ for record in records] == list(RECORD_FIELDS)
+    for record in records:
+        fields = RECORD_FIELDS[type(record).__name__]
+        assert type(record)._fields == fields
+        for name in (fields[-1], "extra"):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+    assert type(report)._field_defaults == {"checks": ()}
 
 
 COPIERS = {f"pickle{protocol}": lambda value, protocol=protocol:
@@ -71,7 +86,7 @@ def test_values_survive_pickle_and_copy(copier):
     params = GroupParams(8)
     values = [Cyclo(8, [Fraction(1, 2), 0, -3, Fraction(2, 3)]),
               VirtualCharacter(params, {"kappa1": 2, "gamma1": -1}), AbelianGroup((2, 4)),
-              ksp_group(2, params)]
+              ksp_group(2, params), GroupElement(1, 0), quaternion_space(params, 2)]
     for value in values:
         copied = copier(value)
         assert type(copied) is type(value)
