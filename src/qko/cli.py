@@ -4,10 +4,10 @@ Subcommands: ``chartable`` (character table and span summary), ``ksp`` and
 ``ko`` (K-group structure reports), ``eta`` (a single twisted pairing), and
 ``verify`` (the full named-check suite).  ``parse_args`` reads each command's
 flags from ``FLAGS``.  Each command returns its JSON report and a function that
-builds the aligned text report, which ``main`` calls only for ``--format text``;
-every rational is an exact "p/q" string, never a float.  Exit codes: 0 success /
-all checks pass, 1 verification failure, 2 usage error (one ``error:`` line on
-stderr).
+yields the aligned text report line by line, which ``main`` calls only for
+``--format text`` and writes as the lines come; every rational is an exact "p/q"
+string, never a float.  Exit codes: 0 success / all checks pass, 1 verification
+failure, 2 usage error (one ``error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import os
 import re
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -53,9 +53,10 @@ atexit.register(gc.freeze)
 # character table's own work ((ell/4 + 3)^2 short strings) 2-4x and verify's
 # class-value oracles about 4x.  Cold on one CPU of a 2.1 GHz Xeon, each
 # command at its limit ends within 2 s and its own peak RSS (VmHWM) stays under
-# 30 MB: the largest verify 0.7-0.9 s, 19.1 MB; ksp --ell 4096 --nu 16 0.7-0.9 s,
-# 18.4 MB; chartable --ell 512, its JSON streamed, 0.1 s, 15.5 MB.
-MAX_ELL = {"chartable": 512, "ksp": 4096, "ko": 4096, "eta": 4096, "verify": 128}
+# 30 MB: the largest verify 0.7-0.9 s, 18.6 MB; ksp --ell 4096 --nu 16 0.7-0.9 s,
+# 18.5 MB; eta at 4096 with a 128 KiB --sigma and --bundle 0.7-0.8 s, 21.3 MB;
+# chartable --ell 4096, its JSON or text streamed, 0.6-0.9 s or 0.4-0.5 s, 24.8 MB.
+MAX_ELL = {"chartable": 4096, "ksp": 4096, "ko": 4096, "eta": 4096, "verify": 128}
 MAX_NU = 16  # nu of ksp / eta and verify's --max-nu; k and --max-k stop at MAX_NU - 1
 MAX_DIGITS = 100  # per number in a character expression; eta stays cheap and printable
 
@@ -95,13 +96,14 @@ _TERM = (r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*?\s*)?"
 
 
 def parse_character(params: GroupParams, text: str) -> VirtualCharacter:
-    """Parse an integer combination of the twist tokens, e.g. ``2*Theta1 - Delta^3``."""
+    """Parse an integer combination of the twist tokens, e.g. ``2*Theta1 - Delta^3``:
+    one pass adds up each distinct atom's coefficient, then each atom is built once."""
     if any(len(run) > MAX_DIGITS for run in re.findall(r"\d+", text)):
         raise UsageError(f"a number in the expression has more than {MAX_DIGITS} digits")
     if not text.strip():
         raise UsageError("empty character expression")
     term_re = re.compile(_TERM)  # here, not at import: only qko eta reads it
-    result = VirtualCharacter.zero(params)
+    labels, twists = {}, {}  # the coefficient of each irreducible / (theta or delta_power, index)
     pos = 0
     while pos < len(text):
         match = term_re.match(text, pos)
@@ -110,24 +112,24 @@ def parse_character(params: GroupParams, text: str) -> VirtualCharacter:
         sign = -1 if match.group("sign") == "-" else 1
         coeff = sign * int(match.group("coeff") or 1)
         atom = match.group("atom")
-        if atom == "Theta1":
-            term = theta(1, params)
-        elif atom == "Theta2":
-            term = theta(2, params)
+        if atom.startswith("Theta"):
+            into, key = twists, (theta, int(atom[-1]))
         elif atom.startswith("Delta"):
             power = int(match.group("power") or 1)
             _bounded("a Delta power", power, 1, MAX_NU)
-            term = delta_power(power, params)
+            into, key = twists, (delta_power, power)
         elif atom.startswith("gamma"):
             u = int(atom.replace("gamma", "").lstrip("_"))
-            label = f"gamma{u}"
-            if label not in irreducible_labels(params):
+            into, key = labels, f"gamma{u}"
+            if key not in irreducible_labels(params):
                 raise UsageError(f"gamma index must be in 1..{params.quarter - 1}, got {u}")
-            term = VirtualCharacter.irreducible(params, label)
         else:
-            term = VirtualCharacter.irreducible(params, atom)
-        result = result + coeff * term
+            into, key = labels, atom
+        into[key] = into.get(key, 0) + coeff
         pos = match.end()
+    result = VirtualCharacter(params, labels)
+    for (build, index), coeff in twists.items():
+        result = result + coeff * build(index, params)
     return result
 
 
@@ -150,7 +152,7 @@ def _bounded(flag: str, value: int, low: int, high: int) -> None:
         raise UsageError(f"{flag} must be in {low}..{high}, got {value}")
 
 
-def cmd_chartable(args) -> tuple[dict, Callable[[], str], int]:
+def cmd_chartable(args) -> tuple[dict, Callable[[], Iterable[str]], int]:
     params = _params(args.ell, "chartable")
     classes = conjugacy_classes(params)
     labels = irreducible_labels(params)
@@ -175,23 +177,21 @@ def cmd_chartable(args) -> tuple[dict, Callable[[], str], int]:
     report = {"schema": SCHEMA, "command": "chartable",
               "params": {"ell": params.ell}, "results": results, "checks": []}
 
-    def text() -> str:
+    def text() -> Iterable[str]:
         names = ["class"] + [c["rep"] for c in results["classes"]]
         widths = [max(10, len(n) + 2) for n in names]
-        lines = [f"Character table for the quaternion group of order {params.ell} "
-                 f"(values in the cyclotomic field of conductor {params.conductor})"]
-        lines.append("".join(n.ljust(w) for n, w in zip(names, widths)))
-        lines.append("".join(str(s).ljust(w) for s, w in
-                             zip(["size"] + [c["size"] for c in results["classes"]], widths)))
+        yield (f"Character table for the quaternion group of order {params.ell} "
+               f"(values in the cyclotomic field of conductor {params.conductor})")
+        yield "".join(n.ljust(w) for n, w in zip(names, widths))
+        yield "".join(str(s).ljust(w) for s, w in
+                      zip(["size"] + [c["size"] for c in results["classes"]], widths))
         for row in rows:
             cells = [row["label"]] + row["values"]
-            lines.append("".join(str(c).ljust(w) for c, w in zip(cells, widths)))
-        lines.append("")
-        lines.append("Frobenius-Schur: " + ", ".join(f"{l} {fs[l]:+d} ({kind[fs[l]]})"
-                                                     for l in labels))
-        lines.append("RO  span: " + ", ".join(ro_span))
-        lines.append("RSp span: " + ", ".join(rsp_span))
-        return "\n".join(lines) + "\n"
+            yield "".join(str(c).ljust(w) for c, w in zip(cells, widths))
+        yield ""
+        yield "Frobenius-Schur: " + ", ".join(f"{l} {fs[l]:+d} ({kind[fs[l]]})" for l in labels)
+        yield "RO  span: " + ", ".join(ro_span)
+        yield "RSp span: " + ", ".join(rsp_span)
 
     return report, text, 0
 
@@ -206,9 +206,9 @@ def _kgroup_checks(report: KGroupReport) -> list[Check]:
 
 
 def _kgroup_report(report: KGroupReport, command: str,
-                   params_json: dict) -> tuple[dict, Callable[[], str], int]:
-    """The JSON report of a ksp / ko job, the function that builds its text report,
-    and its exit code: 1 when a row fails."""
+                   params_json: dict) -> tuple[dict, Callable[[], Iterable[str]], int]:
+    """The JSON report of a ksp / ko job, the function that yields its text report's
+    lines, and its exit code: 1 when a row fails."""
     block_names = ("C", "B") if report.kind == "ko" else ("A", "B")
     results = {
         "group": _group_json(report.group),
@@ -225,44 +225,42 @@ def _kgroup_report(report: KGroupReport, command: str,
     json_report = {"schema": SCHEMA, "command": command, "params": params_json,
                    "results": results, "checks": [c._asdict() for c in checks]}
 
-    def text() -> str:
-        title = ("KSp of the quaternion spherical space form of dimension "
-                 f"{4 * report.index - 1} (ell={report.params.ell}, nu={report.index})"
-                 if report.kind == "ksp" else
-                 f"Real connective K-theory of the classifying space in degree "
-                 f"{4 * report.index - 1} (ell={report.params.ell}, k={report.index})")
-        lines = [title,
-                 f"group:      {report.group}   (order {report.order})",
-                 f"{block_names[0]} block:    {report.a_block} -- {report.splitting[0][1]}",
-                 f"B block:    {report.b_block} -- {report.splitting[1][1]}",
-                 f"AHSS bound: {report.ahss_bound}"]
+    def text() -> Iterable[str]:
+        yield ("KSp of the quaternion spherical space form of dimension "
+               f"{4 * report.index - 1} (ell={report.params.ell}, nu={report.index})"
+               if report.kind == "ksp" else
+               f"Real connective K-theory of the classifying space in degree "
+               f"{4 * report.index - 1} (ell={report.params.ell}, k={report.index})")
+        yield f"group:      {report.group}   (order {report.order})"
+        yield f"{block_names[0]} block:    {report.a_block} -- {report.splitting[0][1]}"
+        yield f"B block:    {report.b_block} -- {report.splitting[1][1]}"
+        yield f"AHSS bound: {report.ahss_bound}"
         for key, matrix in ((block_names[0], report.a_matrix), ("B", report.b_matrix)):
-            lines.append(f"matrix {key} (entries mod 2Z), twists: {', '.join(matrix.col_labels)}")
+            yield f"matrix {key} (entries mod 2Z), twists: {', '.join(matrix.col_labels)}"
             width = max((len(_frac_str(e)) for row in matrix.entries for e in row),
                         default=1) + 2
             label_width = max(len(lbl) for lbl in matrix.row_labels) + 2
             for lbl, row in zip(matrix.row_labels, matrix.entries):
-                lines.append("  " + lbl.ljust(label_width)
-                             + "".join(_frac_str(e).ljust(width) for e in row))
-        lines += [c.line() for c in checks]
-        return "\n".join(lines) + "\n"
+                yield ("  " + lbl.ljust(label_width)
+                       + "".join(_frac_str(e).ljust(width) for e in row))
+        yield from (c.line() for c in checks)
 
     return json_report, text, 0 if all(c.passed for c in checks) else 1
 
 
-def cmd_ksp(args) -> tuple[dict, Callable[[], str], int]:
+def cmd_ksp(args) -> tuple[dict, Callable[[], Iterable[str]], int]:
     params = _params(args.ell, "ksp")
     _bounded("--nu", args.nu, 2, MAX_NU)
     return _kgroup_report(ksp_group(args.nu, params), "ksp", {"ell": params.ell, "nu": args.nu})
 
 
-def cmd_ko(args) -> tuple[dict, Callable[[], str], int]:
+def cmd_ko(args) -> tuple[dict, Callable[[], Iterable[str]], int]:
     params = _params(args.ell, "ko")
     _bounded("--k", args.k, 1, MAX_NU - 1)
     return _kgroup_report(ko_group(args.k, params), "ko", {"ell": params.ell, "k": args.k})
 
 
-def cmd_eta(args) -> tuple[dict, Callable[[], str], int]:
+def cmd_eta(args) -> tuple[dict, Callable[[], Iterable[str]], int]:
     params = _params(args.ell, "eta")
     _bounded("--nu", args.nu, 1, MAX_NU)
     sigma = parse_character(params, args.sigma)
@@ -279,14 +277,14 @@ def cmd_eta(args) -> tuple[dict, Callable[[], str], int]:
     report = {"schema": SCHEMA, "command": "eta", "params": params_json,
               "results": results, "checks": []}
     return report, lambda: (
-        f"eta invariant over subgroup '{args.subgroup}' with {args.nu} summands\n"
-        f"sigma:  {sigma}\n"
-        f"bundle: {bundle if bundle is not None else '(untwisted)'}\n"
-        f"exact:  {exact}\n"
-        f"mod 2Z: {residue}\n"), 0
+        f"eta invariant over subgroup '{args.subgroup}' with {args.nu} summands",
+        f"sigma:  {sigma}",
+        f"bundle: {bundle if bundle is not None else '(untwisted)'}",
+        f"exact:  {exact}",
+        f"mod 2Z: {residue}"), 0
 
 
-def cmd_verify(args) -> tuple[dict, Callable[[], str], int]:
+def cmd_verify(args) -> tuple[dict, Callable[[], Iterable[str]], int]:
     try:
         ells = [int(x) for x in args.ell.split(",") if x.strip()]
     except ValueError as exc:
@@ -308,10 +306,9 @@ def cmd_verify(args) -> tuple[dict, Callable[[], str], int]:
               "results": results,
               "checks": [c._asdict() for c in checks]}
 
-    def text() -> str:
-        lines = [c.line() for c in checks]
-        lines.append(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
-        return "\n".join(lines) + "\n"
+    def text() -> Iterable[str]:
+        yield from (c.line() for c in checks)
+        yield f"{len(checks) - len(failed)}/{len(checks)} checks passed"
 
     return report, text, 1 if failed else 0
 
@@ -392,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         report, text, code = (_COMMANDS[args.command](args) if args.command
-                              else (None, lambda: args.help, 0))
+                              else (None, args.help.splitlines, 0))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -400,7 +397,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "json":
             render_json(report)
         else:
-            sys.stdout.write(text())
+            for line in text():
+                sys.stdout.write(line + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left early; the flush at exit now writes to devnull and cannot fail.

@@ -16,8 +16,8 @@ representation ring by integer fusion rules on positions, never through
 their class values: the 1-dimensional characters form a Klein group, a
 1-dimensional character fixes or reflects the index u of gamma_u, and
 gamma_u * gamma_v = gamma_(u+v) + gamma_(u-v), folded back into range.  The
-classes theta_i and delta^r are closed forms or fusion products, and c_i is a
-binomial sum (i >= 1) or a cotangent power sum (i <= 0), so this module
+classes theta_i and delta^r are closed forms, and c_i is one entry of a
+binomial row (i >= 1) or a cotangent power sum (i <= 0), so this module
 imports from qko.cyclotomic alone.  No element is multiplied or enumerated
 here: the group law, character values at elements and class values live in
 :mod:`qko.oracles`.  The character table is written from the exponents of
@@ -345,20 +345,21 @@ def theta(i: int, params: GroupParams) -> VirtualCharacter:
     return _character(params, (*one_dim, *gammas))
 
 
-def delta(params: GroupParams) -> VirtualCharacter:
-    """The virtual character 2*rho0 - gamma1; its class function is det(I - gamma1(.))."""
-    return _character(params, (2, 0, 0, 0, -1) + (0,) * (params.quarter - 2))
+def _binomial_row(r: int, w: int, m: int) -> int:
+    """B_w, the coefficient of t^w in (2 - t - 1/t)^r = sum (-1)^e C(2r, r+e) t^e mod t^m - 1."""
+    return sum((-1) ** (e % 2) * comb(2 * r, r + e) for e in range(w - (w + r) // m * m, r + 1, m))
 
 
 @lru_cache(maxsize=None)
 def delta_power(r: int, params: GroupParams) -> VirtualCharacter:
-    """delta^r in the representation ring (r >= 1): r - 1 fusion products."""
+    """delta^r (r >= 1), delta = 2*rho0 - gamma1 = det(I - gamma1(.)): 2^r at J and xi*J,
+    (2 - t - 1/t)^r on <xi>.  So gamma_u occurs B_u = _binomial_row(r, u, ell/2) times, 0 when
+    r < min(u, ell/2 - u); kappa1 = kappa3 = B_(ell/4)/2, rho0 = c_r, kappa2 = c_r - 2^r."""
     if r < 1:
         raise ValueError(f"delta_power needs r >= 1, got {r}")
-    power = delta(params)
-    for _ in range(r - 1):
-        power = fusion_product(power, delta(params))
-    return power
+    m, q, c = params.half, params.quarter, int(c_constant(r, params))
+    b = [_binomial_row(r, w, m) if w <= r or m - w <= r else 0 for w in range(1, q + 1)]
+    return _character(params, (c, b[-1] // 2, c - 2 ** r, b[-1] // 2, *b[:-1]))
 
 
 @lru_cache(maxsize=None)
@@ -366,16 +367,15 @@ def c_constant(i: int, params: GroupParams) -> Fraction:
     """(1/ell) * sum over nonidentity g of det(I - gamma1(g))^i; i may be negative.
 
     With M = ell/2, the M reflections give det 2 and the rotations 2 - z - 1/z at
-    the M-th roots of unity z.  For i >= 1, summing over z keeps M times the terms
-    (-1)^e C(2i, i+e) z^e of (2 - z - 1/z)^i with M | e: c_i = (2^i + their sum)/2.
+    the M-th roots of unity z.  For i >= 1, summing over z keeps M times the
+    constant term B_0 of (2 - z - 1/z)^i mod z^M - 1: c_i = (2^i + B_0)/2.
     For i = -k <= 0 the rotations but 1 give the M - 1 roots x of
     sin^2(Mt)/sin^2(t) = M^2 sum_r a_r x^r, x = 4 sin^2 t,
     a_r = (-1)^r C(M+r, 2r+1)/((r+1)M); c_i = (S_k + M/2^k)/ell.
     """
     m, k = params.half, -i
-    if i > 0:  # the sign from e's parity: (-1) ** e is a float for e < 0
-        return Fraction(2 ** i + sum(-comb(2 * i, i + e) if e % 2 else comb(2 * i, i + e)
-                                     for e in range(-(i // m) * m, i + 1, m)), 2)
+    if i > 0:
+        return Fraction(2 ** i + _binomial_row(i, 0, m), 2)
     a = [Fraction((-1) ** r * comb(m + r, 2 * r + 1), (r + 1) * m) for r in range(k + 1)]
     sums = [Fraction(m - 1)]  # S_n, the sum of x^(-n), by Newton's identities
     for n in range(1, k + 1):

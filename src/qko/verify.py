@@ -39,7 +39,6 @@ from .groups import (
     VirtualCharacter,
     char_dim,
     conjugacy_classes,
-    delta,
     delta_power,
     det_I_minus,
     element_name,
@@ -136,8 +135,8 @@ def _theta_and_c_checks(params: GroupParams) -> list[Check]:
 
     # delta's class function, the engine's determinant and det(I - M) of the
     # explicit matrix agree
-    bad, tau = [], standard_fpf(params, 1)
-    for (rep, _), value in zip(conjugacy_classes(params), oracles.class_values(delta(params))):
+    bad, tau, delta = [], standard_fpf(params, 1), delta_power(1, params)
+    for (rep, _), value in zip(conjugacy_classes(params), oracles.class_values(delta)):
         explicit = oracles.explicit_det_I_minus(params, (1,), rep)
         if not value == det_I_minus(tau, rep) == explicit:
             bad.append(str(rep))

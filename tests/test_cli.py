@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -76,7 +77,7 @@ def test_failing_kgroup_row_reports_expected_and_got():
     row = json_report["checks"][0]
     assert row == {"name": "ksp/order-vs-bound", "passed": False,
                    "expected": "7", "actual": str(report.order)}
-    assert f"FAIL ksp/order-vs-bound: expected 7, got {report.order}\n" in text()
+    assert f"FAIL ksp/order-vs-bound: expected 7, got {report.order}" in text()
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -279,7 +280,7 @@ entrypoint()
 @pytest.mark.parametrize("argv", [
     ("chartable", "--ell", "512", "--format", "json"),  # 547 KB, more than a pipe buffer holds
     ("verify", "--ell", "8,16", "--format", "json"),
-    ("chartable", "--ell", "512"),  # the 301 KB text table, in one write
+    ("chartable", "--ell", "512"),  # the 301 KB text table, written line by line
 ], ids=["chartable", "verify", "chartable-text"])
 def test_a_reader_that_closes_early_gets_a_quiet_exit(argv):
     """``qko ... | head -c 10``: the command keeps its own exit code and writes
@@ -481,18 +482,26 @@ def test_out_of_range_indices_are_usage_errors(capsys):
     assert run_cli(capsys, "verify", "--ell", "8", "--max-nu", "1")[0] == 2
 
 
+def _over(command: str) -> str:
+    """The first group order past the command's limit."""
+    return str(2 * cli.MAX_ELL[command])
+
+
+NU_OVER, K_OVER = str(cli.MAX_NU + 1), str(cli.MAX_NU)
+
+
 @pytest.mark.parametrize("argv", [
-    ("chartable", "--ell", "1024"),
-    ("ksp", "--ell", "8192", "--nu", "2"),
-    ("ksp", "--ell", "8", "--nu", "17"),
-    ("ko", "--ell", "8192", "--k", "1"),
-    ("ko", "--ell", "8", "--k", "16"),
-    ("eta", "--ell", "8192", "--nu", "2", "--sigma", "Theta1"),
-    ("eta", "--ell", "8", "--nu", "17", "--sigma", "Theta1"),
-    ("eta", "--ell", "8", "--nu", "2", "--sigma", "Delta^17"),
-    ("verify", "--ell", "8,256"),
-    ("verify", "--ell", "8", "--max-nu", "17"),
-    ("verify", "--ell", "8", "--max-k", "16"),
+    ("chartable", "--ell", _over("chartable")),
+    ("ksp", "--ell", _over("ksp"), "--nu", "2"),
+    ("ksp", "--ell", "8", "--nu", NU_OVER),
+    ("ko", "--ell", _over("ko"), "--k", "1"),
+    ("ko", "--ell", "8", "--k", K_OVER),
+    ("eta", "--ell", _over("eta"), "--nu", "2", "--sigma", "Theta1"),
+    ("eta", "--ell", "8", "--nu", NU_OVER, "--sigma", "Theta1"),
+    ("eta", "--ell", "8", "--nu", "2", "--sigma", f"Delta^{NU_OVER}"),
+    ("verify", "--ell", f"8,{_over('verify')}"),
+    ("verify", "--ell", "8", "--max-nu", NU_OVER),
+    ("verify", "--ell", "8", "--max-k", K_OVER),
 ])
 def test_oversized_input_exits_2_before_any_work(argv, capsys, monkeypatch):
     from qko import cli
@@ -506,6 +515,65 @@ def test_oversized_input_exits_2_before_any_work(argv, capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "up to" in err or "must be in" in err
+
+
+def test_readme_states_the_input_limits_of_the_flag_table():
+    """README's limits sentence names MAX_ELL and MAX_NU as they are, so a limit
+    change edits one constant and its prose."""
+    by_limit = {}
+    for command, limit in cli.MAX_ELL.items():
+        by_limit.setdefault(limit, []).append(f"`{command}`")
+    ells = " and ".join(f"{limit} for {' / '.join(commands)}"
+                        for limit, commands in sorted(by_limit.items(), reverse=True))
+    sentence = (f"`ell` up to {ells}; `nu` and `--max-nu` up to {cli.MAX_NU}, `k` and "
+                f"`--max-k` up to {cli.MAX_NU - 1}, and `r` in `Delta^r` up to {cli.MAX_NU};")
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+    assert sentence in " ".join(readme.split())
+
+
+# The longest single argument the kernel passes to a program (MAX_ARG_STRLEN,
+# 128 KiB with its terminating NUL).
+MAX_ARG = 128 * 1024 - 1
+
+
+def maximal_terms(ell: int) -> list[str]:
+    """The terms of a dimension-zero expression of nearly MAX_ARG characters that
+    names every kind of atom and every gamma_u, in both spellings, many times over."""
+    q = ell // 4
+    pieces = ["+Theta1", "-2*Theta2", "+rho0-kappa1", "+kappa2-kappa3",
+              *(f"+Delta^{r}" for r in range(1, cli.MAX_NU + 1)),
+              *(f"+gamma_{u}-gamma{q - u}" for u in range(1, q))]
+    out, size = [], 0
+    while size + len(pieces[len(out) % len(pieces)]) <= MAX_ARG:
+        out.append(pieces[len(out) % len(pieces)])
+        size += len(out[-1])
+    return out
+
+
+def test_a_long_expression_builds_each_distinct_atom_once(monkeypatch):
+    """parse_character adds up the coefficients per distinct atom and builds
+    each one's class once, however often the expression repeats it."""
+    params = GroupParams(64)
+    terms = maximal_terms(params.ell)
+    want = VirtualCharacter.zero(params)
+    for term, count in Counter(terms).items():
+        want = want + count * parse_character(params, term)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name, args] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "theta", counted("theta", theta))
+    monkeypatch.setattr(cli, "delta_power", counted("delta_power", delta_power))
+    monkeypatch.setattr(VirtualCharacter, "irreducible",
+                        staticmethod(counted("irreducible", VirtualCharacter.irreducible)))
+    text = "".join(terms)
+    assert len(text) > MAX_ARG - 30 and len(terms) > 5000
+    assert parse_character(params, text) == want
+    assert calls and max(calls.values()) == 1, calls.most_common(3)
 
 
 # The peak RSS that cli.py's MAX_ELL comment and README state for every command
@@ -527,20 +595,31 @@ sys.exit(code)
 """
 
 
+ALL_VERIFY_ORDERS = ",".join(str(2 ** j) for j in range(3, cli.MAX_ELL["verify"].bit_length()))
+LARGEST_EXPRESSION = "".join(maximal_terms(cli.MAX_ELL["eta"]))
+
+
+def _largest(command: str, *flags: str) -> tuple[str, ...]:
+    return (command, "--ell", str(cli.MAX_ELL[command]), *flags)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("argv, bound_mb", [
-    (("verify", "--ell", "8,16,32,64,128", "--max-nu", "16", "--max-k", "15"),
-     STATED_VERIFY_PEAK_RSS_MB),
-    (("ksp", "--ell", "4096", "--nu", "16"), STATED_PEAK_RSS_MB),
-    (("chartable", "--ell", "512"), STATED_PEAK_RSS_MB),
-], ids=["verify", "ksp", "chartable"])
+    (("verify", "--ell", ALL_VERIFY_ORDERS, "--max-nu", str(cli.MAX_NU),
+      "--max-k", str(cli.MAX_NU - 1), "--format", "json"), STATED_VERIFY_PEAK_RSS_MB),
+    (_largest("ksp", "--nu", str(cli.MAX_NU), "--format", "json"), STATED_PEAK_RSS_MB),
+    (_largest("chartable", "--format", "json"), STATED_PEAK_RSS_MB),
+    (_largest("chartable", "--format", "text"), STATED_PEAK_RSS_MB),
+    (_largest("eta", "--nu", str(cli.MAX_NU), "--sigma", LARGEST_EXPRESSION,
+              "--bundle", LARGEST_EXPRESSION, "--format", "json"), STATED_PEAK_RSS_MB),
+], ids=["verify", "ksp", "chartable", "chartable-text", "eta"])
 def test_largest_jobs_stay_under_the_stated_peak_rss(argv, bound_mb):
-    """The largest verify, ksp and chartable jobs the limits accept, each run
-    cold in a fresh interpreter: exit 0 and a peak RSS under the stated bound.
-    verify empties each order's memo tables before the next order, so its
-    bound is its own, below the one for every command."""
+    """The largest verify, ksp, chartable and eta jobs the limits accept, each
+    run cold in a fresh interpreter: exit 0 and a peak RSS under the stated
+    bound.  verify empties each order's memo tables before the next order, so
+    its bound is its own, below the one for every command."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-I", "-c", _PEAK_RSS, src, *argv, "--format", "json"],
+    proc = subprocess.run([sys.executable, "-I", "-c", _PEAK_RSS, src, *argv],
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stderr.split()[-1]) / 1024 < bound_mb <= STATED_PEAK_RSS_MB, proc.stderr

@@ -105,6 +105,57 @@ def test_eta_pair_matches_class_sum_on_random_inputs(case):
     assert eta_pair(space, sigma, bundle) == oracles.eta_pair(space, sigma, bundle)
 
 
+def _induced_from(params: GroupParams, subgroup: Subgroup) -> VirtualCharacter:
+    """Ind_H^Q 1 from the oracles' group law: (1/|H|) * #{x : x g x^(-1) in H} at
+    each class representative g, expanded by the oracles' decompose."""
+    group = quaternion_group(params)
+    members = set(group.subgroup_elements(subgroup))
+    return oracles.decompose(params, [
+        Fraction(sum(group.mul(group.mul(x, rep), group.inverse(x)) in members
+                     for x in group.elements), len(members))
+        for rep, _ in conjugacy_classes(params)])
+
+
+def _pointwise_product(f: VirtualCharacter, g: VirtualCharacter) -> VirtualCharacter:
+    """f * g from the product of their oracle class values, with no fusion rule."""
+    return oracles.decompose(f.params, [x * y for x, y in zip(oracles.class_values(f),
+                                                              oracles.class_values(g))])
+
+
+@pytest.mark.parametrize("ell", ELLS + tuple(pytest.param(ell, marks=pytest.mark.slow)
+                                             for ell in (128, 256)))
+def test_transfer_law(ell):
+    """eta(S/tau(H), sigma|_H, rho|_H) = eta(S/tau(Q), sigma, rho * Ind_H^Q 1) for
+    each order-4 subgroup H: the eta invariant of a finite covering
+    (Atiyah-Patodi-Singer II), since the sum over Q of a class function times
+    Ind_H^Q 1 is |Q|/|H| times its sum over H.  The two sides come from
+    different branches of the engine's subgroup shapes, and the induced
+    character only from the oracles' group law; the engine is read only
+    through eta_pair.  nu = 1..4, the standard tau and five seeded random odd
+    tau each, a random dimension-zero sigma and a random rho per case."""
+    params = GroupParams(ell)
+    rng = random.Random(ell)
+    labels = irreducible_labels(params)
+
+    def combination():
+        return VirtualCharacter(params, {label: rng.randint(-3, 3)
+                                         for label in rng.sample(labels, min(4, len(labels)))})
+
+    induced = {subgroup: _induced_from(params, subgroup)
+               for subgroup in Subgroup if subgroup is not Subgroup.FULL}
+    for nu in range(1, 5):
+        taus = [(1,) * nu] + [tuple(rng.randrange(1, params.half, 2) for _ in range(nu))
+                              for _ in range(5)]
+        for tau in (FpfRep(params, summands) for summands in taus):
+            for subgroup, ind in induced.items():
+                sigma, rho = combination(), combination()
+                sigma = sigma - sigma.dimension * VirtualCharacter.irreducible(params, "rho0")
+                cover = eta_pair(SpaceForm(params, subgroup, tau), sigma, rho)
+                base = eta_pair(SpaceForm(params, Subgroup.FULL, tau), sigma,
+                                _pointwise_product(rho, ind))
+                assert cover == base, (nu, tau.summands, subgroup, sigma, rho)
+
+
 def test_eta_pair_is_integer_arithmetic_once_cached(monkeypatch):
     """With the eta vectors cached, a pairing adds and multiplies no Fraction:
     it is one integer dot product over the vector's one denominator."""

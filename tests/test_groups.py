@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qko import groups
+from qko import groups, oracles
 from qko.cli import parse_character
 from qko.cyclotomic import Cyclo
 from qko.eta import eta_vector
@@ -24,7 +24,6 @@ from qko.groups import (
     char_dim,
     char_strings,
     conjugacy_classes,
-    delta,
     delta_power,
     det_I_minus,
     fs_indicator,
@@ -33,6 +32,7 @@ from qko.groups import (
     standard_fpf,
     theta,
 )
+from qko.ktheory import ko_group
 from qko.oracles import (
     char_value,
     class_values,
@@ -306,7 +306,7 @@ def test_decompose_rejects_values_it_cannot_give_back():
 
 def test_delta_class_function_is_the_determinant():
     for params in ALL:
-        d = delta(params)
+        d = delta_power(1, params)
         assert d == VirtualCharacter(params, {"rho0": 2, "gamma1": -1})
         assert d.dimension == 0
         assert membership(d, "RSp0")
@@ -315,7 +315,7 @@ def test_delta_class_function_is_the_determinant():
 
 
 def test_delta_power():
-    assert delta_power(1, P8) == delta(P8)
+    assert delta_power(1, P8) == VirtualCharacter(P8, {"rho0": 2, "gamma1": -1})
     for r in (1, 2):
         with pytest.raises(ValueError):
             delta_power(-r, P8)
@@ -327,6 +327,44 @@ def test_delta_power():
             power = delta_power(r, params)
             for rep, _ in conjugacy_classes(params):
                 assert value_at(power, rep) == det_I_minus(FpfRep(params, (1,)), rep) ** r
+
+
+def _delta_powers_on_the_rotations(params, top):
+    """delta^r for r = 1..top, each from delta^(r-1) by the stencil 2 - t - 1/t
+    on its coefficients mod t^M - 1 (M = ell/2), read back as multiplicities:
+    gamma_u at t^u, rho0 + kappa2 at t^0 and kappa1 + kappa3 at t^(M/2), each
+    pair split by the value 2^r at J and at xi*J."""
+    m, q = params.half, params.quarter
+    poly, out = [1] + [0] * (m - 1), []
+    for r in range(1, top + 1):
+        poly = [2 * poly[e] - poly[e - 1] - poly[(e + 1) % m] for e in range(m)]
+        out.append(((poly[0] + 2 ** r) // 2, poly[q] // 2, (poly[0] - 2 ** r) // 2, poly[q] // 2,
+                    *poly[1:q]))
+    return out
+
+
+def test_delta_powers_need_no_fusion_product(monkeypatch):
+    """delta^r in closed form for r = 1..32 at ell = 8..4096, with every fusion
+    product made to raise: against the oracle's re-expanded pointwise powers
+    for r <= 16 at ell <= 64, and against the stencil on the rotations at every
+    ell.  ko's rows carry no bundle, so ko_group then forms no fusion product."""
+    want = {params.ell: [oracles.delta_power(r, params) for r in range(1, 17)] for params in ALL}
+    want_ko = [ko_group(k, P64) for k in range(1, 6)]
+    delta_power.cache_clear()
+    ko_group.cache_clear()
+
+    def fusion_called(*args, **kwargs):
+        raise AssertionError("a fusion product was formed")
+
+    monkeypatch.setattr(groups, "fusion_product", fusion_called)
+    for e in range(3, 13):
+        params = GroupParams(2 ** e)
+        got = [delta_power(r, params) for r in range(1, 33)]
+        assert [power.vector for power in got] == _delta_powers_on_the_rotations(params, 32), e
+        assert all(power.dimension == 0 for power in got)
+        if params.ell <= 64:
+            assert got[:16] == want[params.ell], e
+    assert [ko_group(k, P64) for k in range(1, 6)] == want_ko
 
 
 def test_c_constants():
@@ -344,9 +382,9 @@ def test_c_constants():
 
 def test_c_constants_need_no_fusion_product(monkeypatch):
     """c_i for i = 1..32 in closed form, with every fusion product made to
-    raise, against the rho0 entry of delta^i; from ell = 128 on, M = ell/2
-    exceeds i and c_i no longer depends on ell, up to ell = 2^64."""
-    want = {ell: [delta_power(i, GroupParams(ell)).vector[0] for i in range(1, 33)]
+    raise, against the oracle's class sum of det(I - gamma1)^i; from ell = 128
+    on, M = ell/2 exceeds i and c_i no longer depends on ell, up to ell = 2^64."""
+    want = {ell: [oracles.c_constant(i, GroupParams(ell)) for i in range(1, 33)]
             for ell in (8, 16, 32, 64, 128)}
     c_constant.cache_clear()
 
@@ -463,7 +501,7 @@ def test_fixed_point_free_test_refuses_non_int_summands(summand):
 
 def test_virtual_character_algebra():
     t = theta(1, P8)
-    d = delta(P8)
+    d = delta_power(1, P8)
     assert (t + d) - d == t
     assert -(-t) == t
     assert 2 * t == t + t
