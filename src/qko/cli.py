@@ -7,7 +7,7 @@ flags from ``FLAGS``.  Each command returns its JSON report and a function that
 yields the aligned text report line by line, which ``main`` calls only for
 ``--format text`` and writes as the lines come; every rational is an exact "p/q"
 string, never a float.  Exit codes: 0 success / all checks pass, 1 verification
-failure, 2 usage error (one ``error:`` line on stderr).
+failure, 2 usage or output error (one ``error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -91,14 +91,14 @@ def render_json(report: dict) -> None:
 # Virtual character expressions
 # ---------------------------------------------------------------------------
 
-_TERM = (r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*?\s*)?"
-         r"(?P<atom>Theta1|Theta2|Delta(?:\^(?P<power>\d+))?|rho0|kappa[123]|gamma_?\d+)\s*")
+_TERM = (r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>[0-9]+)\s*\*?\s*)?"
+         r"(?P<atom>Theta1|Theta2|Delta(?:\^(?P<power>[0-9]+))?|rho0|kappa[123]|gamma_?[0-9]+)\s*")
 
 
 def parse_character(params: GroupParams, text: str) -> VirtualCharacter:
     """Parse an integer combination of the twist tokens, e.g. ``2*Theta1 - Delta^3``:
     one pass adds up each distinct atom's coefficient, then each atom is built once."""
-    if any(len(run) > MAX_DIGITS for run in re.findall(r"\d+", text)):
+    if any(len(run) > MAX_DIGITS for run in re.findall(r"[0-9]+", text)):
         raise UsageError(f"a number in the expression has more than {MAX_DIGITS} digits")
     if not text.strip():
         raise UsageError("empty character expression")
@@ -394,15 +394,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
+        if sys.stdout is None:  # fd 1 was closed before the interpreter started
+            raise OSError("standard output is closed")
         if args.format == "json":
             render_json(report)
         else:
             for line in text():
                 sys.stdout.write(line + "\n")
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader left early; the flush at exit now writes to devnull and cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        if sys.stdout is not None:
+            # the flush at exit now writes to devnull and cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that left early is no error
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

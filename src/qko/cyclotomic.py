@@ -19,7 +19,6 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from operator import mul
 
 Scalar = int | Fraction
 
@@ -39,23 +38,14 @@ def _check_conductor(m: int) -> None:
 
 def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """a * b modulo x^n + 1, n = len(a) = len(b): a negacyclic convolution of
-    integer vectors.  With k nonzero entries in the sparser factor, a loop over
-    them costs about k (n + 32) and dense dot products about 3/4 n (n + 16),
-    as measured over n = 2 ... 1024.  So a sparse driver (character values,
-    the tower inverse's even-slot spreads) runs the loop, and two dense factors
-    (det(I - tau) values, the tower inverse's norms at small n) take each
-    coefficient as one dot product with a window of b reversed and sign-extended.
+    integer vectors, as one pass over the nonzero entries of the sparser factor
+    (a character value has at most two, the tower inverse's even-slot spreads
+    half).  Entry c at i adds c * b shifted by i, the part that wraps past
+    x^n with its sign flipped.
     """
     n = len(a)
-    zeros_a, zeros_b = a.count(0), b.count(0)
-    if zeros_a < zeros_b:
-        a, b, zeros_a = b, a, zeros_b
-    if 4 * (n - zeros_a) * (n + 32) > 3 * n * (n + 16):
-        # out[k] = sum_i a[i] * b[k - i] with b[-m] = -b[n - m]: the window of
-        # (b[n-1], ..., b[0], -b[n-1], ..., -b[1]) that starts at n - 1 - k
-        rev = list(b[::-1])
-        rev += [-y for y in rev[:-1]]
-        return [sum(map(mul, a, rev[s:s + n])) for s in range(n - 1, -1, -1)]
+    if a.count(0) < b.count(0):
+        a, b = b, a
     out = [0] * n
     for i, c in enumerate(a):
         if not c:
@@ -216,19 +206,6 @@ class Cyclo:
         return _make(self.conductor, _product(self.nums, rhs.nums), self.den * rhs.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> Cyclo:
-        if exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {exponent}; use inverse()")
-        result = Cyclo.one(self.conductor)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def inverse(self) -> Cyclo:
         """Multiplicative inverse, by the field-norm recursion of :func:`_inverse`."""

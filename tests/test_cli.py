@@ -153,6 +153,14 @@ def test_eta_rejects_garbage_expression(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("sigma", ["gamma\u0661 - gamma1", "Delta^\u0663"])
+def test_expressions_read_ascii_digits_only(capsys, sigma):
+    # an Arabic-Indic digit once parsed as its ASCII value and exited 0
+    code, out, err = run_cli(capsys, "eta", "--ell", "16", "--nu", "2", "--sigma", sigma)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse character expression") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("bundle, message", [("", "empty character expression"),
                                              ("  ", "empty character expression"),
                                              ("\t", "empty character expression")])
@@ -295,6 +303,32 @@ def test_a_reader_that_closes_early_gets_a_quiet_exit(argv):
     assert (proc.wait(), err) == (0, b"")
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("ksp", "--ell", "8", "--nu", "2", "--format", "json"),
+    ("chartable", "--ell", "512"),
+], ids=["json", "text"])
+def test_a_full_device_is_an_output_error(argv):
+    """``qko ... > /dev/full``: one ``error:`` line and exit 2, not a traceback
+    and not verify's 1 for a failed check."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-I", "-c", _ENTRYPOINT, src, *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write the report: ") and proc.stderr.count("\n") == 1
+
+
+def test_a_closed_stdout_is_an_output_error():
+    """``qko ... >&-``: the interpreter starts with no ``sys.stdout``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", _ENTRYPOINT, src, "ksp", "--ell", "8", "--nu", "2"],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: cannot write the report: standard output is closed\n"
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     out, err = capsys.readouterr()
@@ -354,6 +388,7 @@ ACCEPTED = [
     ("ksp", "--ell", "8", "--nu", "2", "--nu", "5"),
     ("ksp", "--ell", " 8 ", "--nu", "+2"),  # int() strips blanks and reads a sign
     ("ksp", "--ell", "1_6", "--nu", "2"),
+    ("ksp", "--ell", "\u0668", "--nu", "\u0662"),  # int() reads any Unicode decimal digit
     ("ksp", "--ell", "-8", "--nu", "2"),  # a negative number is a value, then exit 2 in cmd_ksp
     ("ko", "--ell", "8", "--k", "1"),
     ("ko", "--k=2", "--ell", "32", "--format=json"),

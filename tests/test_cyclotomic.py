@@ -46,8 +46,7 @@ def test_one_minus_i_times_one_plus_i():
 def test_primitive_eighth_root_fourth_power():
     z = Cyclo.root_of_unity(8)
     assert z * z * z * z == -1
-    assert z ** 8 == 1
-    assert z ** 4 == -1
+    assert z * z * z * z * z * z * z * z == 1
 
 
 def test_delta_product_against_poly_oracle():
@@ -92,7 +91,7 @@ _ENTRIES = st.one_of(st.integers(-3, 3), st.integers(2 ** 100, 2 ** 140),
 def product_factors(draw):
     """Two integer vectors of one length n = 1, 2, 4, ..., 64, each filled in
     all places or in any number of them, with small signed entries and
-    entries of 100 to 140 bits, so that both paths of _product run at every n."""
+    entries of 100 to 140 bits, so that the sparser factor is either one."""
     n = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
 
     def vector():
@@ -114,9 +113,9 @@ def test_product_is_the_negacyclic_convolution(factors):
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 128])
-def test_product_on_each_side_of_the_path_switch(n):
-    # the sparser factor's nonzero count runs from 0 to n, across the switch
-    # from the per-nonzero loop to the dense sums, against a dense factor
+def test_product_at_every_sparsity(n):
+    # the sparser factor's nonzero count runs from 0 to n against a dense
+    # factor, so the per-nonzero loop runs from no pass to n passes
     rng = random.Random(n)
     dense = [rng.choice([-1, 1]) * rng.getrandbits(120) or 1 for _ in range(n)]
     for count in range(n + 1):
@@ -159,8 +158,8 @@ def test_inverse_multiplies_back_to_one():
         z = Cyclo.root_of_unity(m)
         values = [
             z,                                   # even half zero (odd half at m = 2)
-            z + 3 * z ** 3,                      # even half zero
-            1 + z ** 2,                          # odd half zero; zero at m = 4
+            z + 3 * z * z * z,                   # even half zero
+            1 + z * z,                           # odd half zero; zero at m = 4
             Cyclo.rational(Fraction(-3, 7), m),  # odd half zero
             2 - z - Cyclo.root_of_unity(m, -1),  # the shape of det(I - gamma(xi))
             Cyclo(m, [rng.randint(-2, 2) for _ in range(m // 2)]),
@@ -296,14 +295,6 @@ def test_inexact_input_raises(bad):
 def test_zero_inverse_raises():
     with pytest.raises(ZeroInverseError):
         Cyclo.zero(8).inverse()
-
-
-def test_negative_power_raises():
-    z = Cyclo.root_of_unity(8)
-    assert z ** 0 == Cyclo.one(8)
-    for exponent in (-1, -8):
-        with pytest.raises(ValueError, match="exponent"):
-            z ** exponent
 
 
 def test_to_rational():

@@ -2,6 +2,7 @@
 
 import pickle
 from fractions import Fraction
+from functools import reduce
 from operator import add, mul, sub
 
 import pytest
@@ -326,7 +327,8 @@ def test_delta_power():
         for r in (2, 3, 4):
             power = delta_power(r, params)
             for rep, _ in conjugacy_classes(params):
-                assert value_at(power, rep) == det_I_minus(FpfRep(params, (1,)), rep) ** r
+                det = det_I_minus(FpfRep(params, (1,)), rep)
+                assert value_at(power, rep) == reduce(mul, [det] * r)
 
 
 def _delta_powers_on_the_rotations(params, top):
