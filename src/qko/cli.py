@@ -45,7 +45,9 @@ from .verify import run_verification
 
 SCHEMA = "qko/1"
 
-# Exit fast: the teardown collections skip the frozen heap (qko processes only, not the library).
+# Freeze the heap loaded by now, so that no collection in a qko process traverses
+# it, and again at exit for the teardown collections (qko processes only, not the library).
+gc.freeze()
 atexit.register(gc.freeze)
 
 # The largest inputs each command accepts; past them it exits 2 before any
@@ -53,7 +55,7 @@ atexit.register(gc.freeze)
 # character table's own work ((ell/4 + 3)^2 short strings) 2-4x and verify's
 # class-value oracles about 4x.  Cold on one CPU of a 2.1 GHz Xeon, each
 # command at its limit ends within 2 s and its own peak RSS (VmHWM) stays under
-# 30 MB: the largest verify 0.7-0.9 s, 18.6 MB; ksp --ell 4096 --nu 16 0.7-0.9 s,
+# 30 MB: the largest verify 0.7-0.9 s, 17.5 MB; ksp --ell 4096 --nu 16 0.7-0.9 s,
 # 18.5 MB; eta at 4096 with a 128 KiB --sigma and --bundle 0.7-0.8 s, 21.3 MB;
 # chartable --ell 4096, its JSON or text streamed, 0.6-0.9 s or 0.4-0.5 s, 24.8 MB.
 MAX_ELL = {"chartable": 4096, "ksp": 4096, "ko": 4096, "eta": 4096, "verify": 128}

@@ -192,7 +192,9 @@ class VirtualCharacter:
     irreducible in :func:`irreducible_labels` order; it is immutable and
     hashable, and products go by the fusion rules.  Labels are read and
     written only at the boundary: the ``{label: m}`` constructor,
-    :meth:`irreducible`, :attr:`mults` and the repr.
+    :meth:`irreducible`, :attr:`mults` and the repr.  A multiplicity that is
+    not an ``int`` or :class:`~fractions.Fraction` raises ``TypeError``, and a
+    ``Fraction`` that is not an integer :class:`NotVirtualError`.
     """
 
     __slots__ = ("params", "vector")
@@ -201,6 +203,8 @@ class VirtualCharacter:
         vector = [0] * len(irreducible_labels(params))
         for label, m in mults.items():
             p = _position(params, label)
+            if not isinstance(m, (int, Fraction)):
+                raise TypeError(f"multiplicity of {label} is not an int or Fraction: {m!r}")
             if int(m) != m:
                 raise NotVirtualError(f"multiplicity of {label} is not an integer: {m}")
             vector[p] = int(m)

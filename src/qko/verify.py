@@ -13,6 +13,7 @@ any mismatch.
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 from collections import Counter
@@ -394,7 +395,11 @@ def run_verification(ells: list[int], max_nu: int, max_k: int) -> list[Check]:
     """The substrate checks, then each order's checks in turn.  No order reads
     another's memo entries, so after each order's checks every memo table of
     the qko package is emptied: a caller's own cached values (a ``ksp_group``
-    report, say) go too, and are recomputed on their next call."""
+    report, say) go too, and are recomputed on their next call.  One full
+    collection follows, which empties the interpreter's free lists, so the next
+    order reuses that memory and the peak stays near one order's working set.
+    ``qko.cli`` freezes the heap it loaded, so there the collection is cheap; a
+    host with an unfrozen heap pays one traversal of all of it per order."""
     checks = _arith_checks()
     for ell in ells:
         params = GroupParams(ell)
@@ -404,4 +409,5 @@ def run_verification(ells: list[int], max_nu: int, max_k: int) -> list[Check]:
         checks.extend(_lens_checks(params, max_k))
         checks.extend(_matrix_checks(params, max_nu, max_k))
         _release_memo_tables()
+        gc.collect()
     return checks

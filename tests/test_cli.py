@@ -716,3 +716,25 @@ def test_only_the_cli_freezes_the_heap_at_exit(argv, frozen):
     proc = subprocess.run([sys.executable, "-I", "-c", _EXIT_PROBE, src, *argv],
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     assert (proc.returncode, proc.stderr) == (0, f"frozen at exit: {frozen}")
+
+
+_IMPORT_PROBE = """
+import gc, sys
+sys.path.insert(0, sys.argv[1])
+exec(sys.argv[2])
+print(gc.get_freeze_count())
+"""
+
+
+@pytest.mark.parametrize("imports, frozen", [
+    ("import qko.cli", True),
+    ("import qko, qko.ktheory, qko.verify", False),
+], ids=["cli", "library"])
+def test_only_the_cli_freezes_the_heap_it_loaded(imports, frozen):
+    """Importing qko.cli freezes the loaded heap, so no collection in a qko
+    process traverses it; importing the library alone freezes nothing."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", _IMPORT_PROBE, src, imports],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (int(proc.stdout) > 0) == frozen, proc.stdout

@@ -1,6 +1,7 @@
 """Group structure and character theory of the 2-power quaternion groups."""
 
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul, sub
@@ -511,6 +512,21 @@ def test_virtual_character_algebra():
     assert repr(d) == "2*rho0 - gamma1"
     with pytest.raises(ValueError):
         VirtualCharacter(P8, {"gamma7": 1})
+
+
+@pytest.mark.parametrize("m", ["1", 2.0, None, Decimal(1)], ids=repr)
+def test_multiplicity_that_is_not_an_int_or_fraction_raises_type_error(m):
+    with pytest.raises(TypeError) as info:
+        VirtualCharacter(P8, {"rho0": m})
+    assert str(info.value) == f"multiplicity of rho0 is not an int or Fraction: {m!r}"
+
+
+def test_multiplicity_must_be_an_integer():
+    with pytest.raises(NotVirtualError, match="multiplicity of gamma1 is not an integer: 1/2"):
+        VirtualCharacter(P8, {"gamma1": Fraction(1, 2)})
+    # a Fraction with denominator 1 is that integer, and stored as an int
+    mults = VirtualCharacter(P8, {"gamma1": Fraction(-3), "rho0": True}).mults
+    assert mults == {"rho0": 1, "gamma1": -3} and set(map(type, mults.values())) == {int}
 
 
 @st.composite

@@ -22,42 +22,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
+from integer_rings import convolve, folded_taus, pivots
 
 from qko import eta
 from qko.abelian import AbelianGroup, quotient_group
 from qko.groups import GroupParams, Subgroup
-
-
-def _folded_taus(order, max_nu):
-    """Every tau on Z/M up to how it is written: multisets of odd summands in (0, M/2)."""
-    odd = range(1, order // 2, 2)
-    return [tau for nu in range(1, max_nu + 1) for tau in combinations_with_replacement(odd, nu)]
-
-
-def _pivots(rows, modulus):
-    """The diagonal of the rows' Smith form over Z/modulus, modulus a power of 2,
-    built with no transform: each step takes an entry of least 2-adic valuation v
-    as the pivot, scales its row by the inverse of the unit part and clears the
-    pivot column from every other row; the rest of the pivot row then clears by
-    column steps that touch no other row.  Zero rows drop out."""
-    assert modulus & (modulus - 1) == 0
-    a = [r for r in ([x % modulus for x in row] for row in rows) if any(r)]
-    out = []
-    while a:
-        # a unit if there is one, else the least valuation
-        v, i, j = next(((1, i, j) for i, r in enumerate(a) for j, x in enumerate(r) if x & 1),
-                       None) or min((x & -x, i, j) for i, r in enumerate(a) for j, x in enumerate(r) if x)
-        pivot = a.pop(i)
-        unit = pow(pivot[j] // v, -1, modulus)
-        pivot = [x * unit % modulus for x in pivot]
-        a = [r for r in ([(x - r[j] // v * y) % modulus for x, y in zip(r, pivot)] if r[j] else r
-                         for r in a) if any(r)]
-        out.append(v)
-    return out
 
 
 def _eta_span(summands, order):
@@ -67,17 +39,7 @@ def _eta_span(summands, order):
     rows = [[nums[(k + l) % order] - nums[k] - nums[l] + nums[0] for l in range(1, order)]
             for k in range(1, order)]
     modulus = den * order
-    return rows, modulus, AbelianGroup.from_cyclic_orders(modulus // v for v in _pivots(rows, modulus))
-
-
-def _convolve(a, b):
-    order = len(a)
-    out = [0] * order
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[(i + j) % order] += x * y
-    return out
+    return rows, modulus, AbelianGroup.from_cyclic_orders(modulus // v for v in pivots(rows, modulus))
 
 
 def _lens_k_group(summands, order):
@@ -89,10 +51,10 @@ def _lens_k_group(summands, order):
         factor[0] += 2
         factor[s % order] -= 1
         factor[-s % order] -= 1
-        euler = _convolve(euler, factor)
+        euler = convolve(euler, factor)
     rows = [[euler[(k - j) % order] for k in range(1, order)] for j in range(order)]
     modulus = order ** (2 * len(summands))
-    diagonal = _pivots(rows, modulus)
+    diagonal = pivots(rows, modulus)
     return AbelianGroup.from_cyclic_orders(diagonal + [modulus] * (order - 1 - len(diagonal)))
 
 
@@ -107,7 +69,7 @@ def _check_lens(order, taus):
 
 @pytest.mark.parametrize("order", (4, 8, 16))
 def test_rotation_sums_span_the_lens_space_k_group(order):
-    _check_lens(order, _folded_taus(order, 3))
+    _check_lens(order, folded_taus(order, 3))
 
 
 @pytest.mark.slow
@@ -116,7 +78,7 @@ def test_rotation_sums_span_the_lens_space_k_group_at_larger_orders(order, per_n
     # a seeded sample of per_nu folded taus for each nu <= 3
     rng = random.Random(order)
     _check_lens(order, [tau for nu in (1, 2, 3) for tau in rng.sample(
-        [tau for tau in _folded_taus(order, 3) if len(tau) == nu], per_nu)])
+        [tau for tau in folded_taus(order, 3) if len(tau) == nu], per_nu)])
 
 
 _SPAN = """
@@ -143,7 +105,7 @@ def test_lens_k_group_examples():
     # Z/M with nu = 1 is cyclic of order M; M = 16, nu = 3 from the direct computation
     assert _lens_k_group((1,), 8) == AbelianGroup([8])
     assert _lens_k_group((1, 1, 1), 16) == AbelianGroup([4, 4, 16, 16, 256])
-    assert _pivots([[6, 4], [2, 8]], 16) == [2, 4]
+    assert pivots([[6, 4], [2, 8]], 16) == [2, 4]
 
 
 def _check_galois(ell, taus):
@@ -166,11 +128,11 @@ def _check_galois(ell, taus):
 
 @pytest.mark.parametrize("ell", (8, 16, 32))
 def test_galois_law(ell):
-    _check_galois(ell, _folded_taus(ell // 2, 4))
+    _check_galois(ell, folded_taus(ell // 2, 4))
 
 
 def test_galois_law_on_a_sample_at_ell_64():
-    _check_galois(64, random.Random(64).sample(_folded_taus(32, 4), 12))
+    _check_galois(64, random.Random(64).sample(folded_taus(32, 4), 12))
 
 
 def _isometry_classes(ell, max_nu):
@@ -186,7 +148,7 @@ def _isometry_classes(ell, max_nu):
         return min(s % half, -s % half)
 
     invariant_of, orbit_of = {}, {}
-    for tau in _folded_taus(half, max_nu):
+    for tau in folded_taus(half, max_nu):
         orbit = min(tuple(sorted(fold(t * s) for s in tau)) for t in units)
         vector = eta.eta_vector(params, Subgroup.FULL, tau)
         least = min(vector[:4] + tuple(vector[3 + fold(t * w)] for w in range(1, quarter))

@@ -166,6 +166,14 @@ def test_verify_empties_every_memo_table_after_each_order():
     assert verify.run_verification([8, 16], 4, 3) == first
 
 
+def test_verify_runs_one_full_collection_after_each_order(monkeypatch):
+    # the collection empties the free lists that the emptied memo tables left
+    calls = []
+    monkeypatch.setattr(verify.gc, "collect", lambda *args: calls.append(args))
+    verify.run_verification([8, 16], 2, 1)
+    assert calls == [(), ()]
+
+
 _NEW_MODULE = """
 import functools, sys, types
 sys.path.insert(0, sys.argv[1])
